@@ -4,9 +4,10 @@
 // real traffic). Two measured drives over the same stream:
 //   - serve_engine:  QueryEngine::QueryBatch in fixed-size waves (the
 //     engine's amortized exact tier, no thread handoff);
-//   - serve_batcher: the same stream pushed through the Batcher's
-//     max-batch/max-delay window, completion-counted (the path a TCP
-//     request actually takes, minus the socket);
+//   - serve_batcher: the same stream pushed through the Batcher, which
+//     dispatches up to max-batch pending queries whenever it is free,
+//     completion-counted (the path a TCP request actually takes, minus the
+//     socket);
 //   - serve_planner_off / serve_planner_on: shared-prefix waves of unique
 //     tier-3 queries against map-free bitmap-backed engines, with the
 //     batch planner disabled then enabled — the planner's target shape,
@@ -158,10 +159,9 @@ int Run(int argc, char** argv) {
     engine_seconds = timer.ElapsedSeconds();
   }
 
-  // Drive 2: the same stream through the Batcher's admission window.
+  // Drive 2: the same stream through the Batcher's admission queue.
   BatcherConfig batcher_config;
   batcher_config.max_batch = batch;
-  batcher_config.max_delay_us = 200;
   batcher_config.max_queue =
       static_cast<uint32_t>(std::min<uint64_t>(num_queries, 1u << 20));
   batcher_config.telemetry = &telemetry;

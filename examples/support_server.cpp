@@ -73,8 +73,8 @@ int main() {
     return 1;
   }
 
-  // The serving stack: engine (three tiers) <- batcher (coalescing
-  // window) <- TCP front-end. Threshold 1% of the collection.
+  // The serving stack: engine (three tiers) <- batcher (coalesces what
+  // queues during a wave) <- TCP front-end. Threshold 1% of the collection.
   serve::QueryEngineConfig engine_config;
   engine_config.min_support = db->num_transactions() / 100;
   serve::QueryEngine engine(&*db, &build->map, engine_config);

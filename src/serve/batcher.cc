@@ -83,16 +83,11 @@ void Batcher::DispatchLoop() {
     std::vector<Pending> wave;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      // Dispatch-when-free: sleep only while nothing is pending, then take
+      // everything queued (up to max_batch). Queries that arrive while a
+      // wave runs share the next one, so wave size follows load.
       wake_.wait(lock, [this] { return shutdown_ || !pending_.empty(); });
       if (pending_.empty()) return;  // shutdown with nothing left to drain
-      // The batching window: collect until the wave is full or the oldest
-      // query has waited max_delay_us. Shutdown closes the window early so
-      // draining never sleeps out the delay.
-      auto deadline = pending_.front().enqueued +
-                      std::chrono::microseconds(config_.max_delay_us);
-      while (!shutdown_ && pending_.size() < config_.max_batch &&
-             wake_.wait_until(lock, deadline) != std::cv_status::timeout) {
-      }
       size_t take = std::min<size_t>(pending_.size(), config_.max_batch);
       wave.reserve(take);
       for (size_t i = 0; i < take; ++i) {
@@ -177,7 +172,8 @@ void Batcher::RunBatch(std::vector<Pending> wave) {
         results.ok() ? StatusOr<QueryResult>((*results)[slot])
                      : StatusOr<QueryResult>(results.status());
     for (size_t i : owners[slot]) {
-      wave[i].callback(answer);
+      // Record before the callback releases the reply: a client holding
+      // every answer must find every request in METRICS and SLOWLOG.
       if (telemetry != nullptr && answer.ok()) {
         const uint64_t total_us = static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -186,6 +182,7 @@ void Batcher::RunBatch(std::vector<Pending> wave) {
         telemetry->RecordRequest(wave[i].itemset, *answer, queue_wait_us[i],
                                  total_us);
       }
+      wave[i].callback(answer);
     }
   }
   if (telemetry != nullptr) {

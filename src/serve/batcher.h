@@ -20,9 +20,12 @@ namespace ossm {
 namespace serve {
 
 struct BatcherConfig {
-  // A wave is dispatched when this many queries are pending...
+  // The most queries one wave takes; the rest wait for the next wave.
   uint32_t max_batch = 64;
-  // ...or when the oldest pending query has waited this long.
+  // Ignored: there is no batching window (see Batcher), so nothing waits
+  // for company. The field remains only because the repository benchmark
+  // (perfbench/src/serve_workload.cc) still assigns it; it goes together
+  // with that assignment.
   uint32_t max_delay_us = 1000;
   // Beyond this many pending queries Submit rejects with
   // kResourceExhausted instead of growing the queue without bound: under
@@ -37,11 +40,14 @@ struct BatcherConfig {
 };
 
 // Coalesces single-itemset submissions into QueryEngine::QueryBatch calls:
-// a dedicated dispatch thread collects pending queries under a
-// max-batch/max-delay policy, deduplicates identical itemsets within the
-// wave, runs one batched engine call, and completes every submission.
-// Batching is what amortizes the exact tier — a wave of cache misses costs
-// one CSR sweep instead of one per query.
+// a dedicated dispatch thread sleeps while the queue is empty and, whenever
+// it is free, takes everything pending (up to max_batch) as one wave,
+// deduplicates identical itemsets within the wave, runs one batched engine
+// call, and completes every submission. There is no timer: a lone query
+// leaves at once, and queries that arrive while a wave runs share the next
+// one, so wave size follows load. Batching is what amortizes the exact
+// tier — a wave of cache misses costs one CSR sweep instead of one per
+// query.
 class Batcher {
  public:
   // Completion callback; runs on the dispatch thread, so it must be cheap
@@ -58,7 +64,8 @@ class Batcher {
   //   kInvalidArgument    — malformed itemset (never reaches a batch);
   //   kResourceExhausted  — queue at max_queue (backpressure);
   //   kFailedPrecondition — the batcher is shut down.
-  // On OK the callback fires exactly once, after the query's wave.
+  // On OK the callback fires exactly once, after the query's wave, and
+  // after the request has been recorded in the telemetry.
   Status SubmitAsync(Itemset itemset, Callback callback);
 
   // Future-returning convenience over SubmitAsync. Admission errors come

@@ -5,10 +5,12 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "core/ossm_builder.h"
 #include "datagen/quest_generator.h"
+#include "serve/telemetry.h"
 
 namespace ossm {
 namespace serve {
@@ -57,6 +59,36 @@ Itemset CooccurringPair(const TransactionDatabase& db) {
   return {};
 }
 
+// Holds the dispatch thread inside the callback of a first, one-query wave,
+// so that submissions made meanwhile queue up and share the next wave
+// deterministically. That query is the singleton {1}, which never takes
+// the exact tier. Releases on destruction if the test has not.
+class DispatcherStall {
+ public:
+  explicit DispatcherStall(Batcher* batcher) {
+    std::shared_future<void> released = release_.get_future().share();
+    Status admitted = batcher->SubmitAsync(
+        Itemset{1}, [this, released](const StatusOr<QueryResult>&) {
+          entered_.set_value();
+          released.wait();
+        });
+    OSSM_CHECK(admitted.ok()) << admitted.ToString();
+    entered_.get_future().wait();
+  }
+  ~DispatcherStall() { Release(); }
+
+  void Release() {
+    if (released_) return;
+    released_ = true;
+    release_.set_value();
+  }
+
+ private:
+  std::promise<void> entered_;
+  std::promise<void> release_;
+  bool released_ = false;
+};
+
 TEST(BatcherTest, SubmitResolvesWithTheExactAnswer) {
   Fixture fx = MakeFixture();
   QueryEngineConfig engine_config;
@@ -70,6 +102,40 @@ TEST(BatcherTest, SubmitResolvesWithTheExactAnswer) {
   EXPECT_EQ(result->support, OracleSupport(fx.db, pair));
 }
 
+TEST(BatcherTest, LoneQueryIsNotHeldForCompany) {
+  Fixture fx = MakeFixture();
+  QueryEngine engine(&fx.db, &fx.map, QueryEngineConfig{});
+  BatcherConfig config;
+  config.max_delay_us = 60'000'000;  // ignored; a window would hold 60 s
+  Batcher batcher(&engine, config);
+  std::future<StatusOr<QueryResult>> future = batcher.Submit(Itemset{2, 9});
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_TRUE(future.get().ok());
+  EXPECT_EQ(batcher.batches_dispatched(), 1u);
+}
+
+TEST(BatcherTest, RequestIsRecordedBeforeItsCallbackRuns) {
+  Fixture fx = MakeFixture();
+  ServeTelemetry telemetry{ServeTelemetry::Config{}};
+  QueryEngine engine(&fx.db, &fx.map, QueryEngineConfig{});
+  BatcherConfig config;
+  config.telemetry = &telemetry;
+  std::promise<uint64_t> recorded;  // outlives the batcher and its callback
+  Batcher batcher(&engine, config);
+  // The callback is what hands a reply to the client; by then the request
+  // must already be visible to a METRICS or SLOWLOG scrape.
+  ASSERT_TRUE(batcher
+                  .SubmitAsync(Itemset{2, 9},
+                               [&](const StatusOr<QueryResult>& result) {
+                                 EXPECT_TRUE(result.ok());
+                                 recorded.set_value(
+                                     telemetry.request_histogram().count());
+                               })
+                  .ok());
+  EXPECT_EQ(recorded.get_future().get(), 1u);
+}
+
 TEST(BatcherTest, FullBatchDispatchesAsOneWave) {
   Fixture fx = MakeFixture();
   QueryEngineConfig engine_config;
@@ -77,18 +143,20 @@ TEST(BatcherTest, FullBatchDispatchesAsOneWave) {
   QueryEngine engine(&fx.db, &fx.map, engine_config);
   BatcherConfig config;
   config.max_batch = 8;
-  config.max_delay_us = 60'000'000;  // only batch-full can trigger dispatch
   Batcher batcher(&engine, config);
 
+  DispatcherStall stall(&batcher);
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (ItemId a = 0; a < 8; ++a) {
     futures.push_back(
         batcher.Submit(Itemset{a, static_cast<ItemId>(a + 10)}));
   }
+  stall.Release();
   for (auto& future : futures) {
     ASSERT_TRUE(future.get().ok());
   }
-  EXPECT_EQ(batcher.batches_dispatched(), 1u);
+  // The stalling wave, then all eight queued queries as one.
+  EXPECT_EQ(batcher.batches_dispatched(), 2u);
 }
 
 TEST(BatcherTest, MaxBatchCapsEachWave) {
@@ -96,16 +164,19 @@ TEST(BatcherTest, MaxBatchCapsEachWave) {
   QueryEngine engine(&fx.db, &fx.map, QueryEngineConfig{});
   BatcherConfig config;
   config.max_batch = 2;
-  config.max_delay_us = 500;
   Batcher batcher(&engine, config);
+
+  DispatcherStall stall(&batcher);
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (ItemId a = 0; a < 6; ++a) {
     futures.push_back(batcher.Submit(Itemset{a}));
   }
+  stall.Release();
   for (auto& future : futures) {
     ASSERT_TRUE(future.get().ok());
   }
-  EXPECT_GE(batcher.batches_dispatched(), 3u);
+  // The stalling wave, then six queued queries in waves of two.
+  EXPECT_EQ(batcher.batches_dispatched(), 4u);
 }
 
 TEST(BatcherTest, DuplicateSubmissionsCoalesceToOneExactCount) {
@@ -115,19 +186,22 @@ TEST(BatcherTest, DuplicateSubmissionsCoalesceToOneExactCount) {
   QueryEngine engine(&fx.db, &fx.map, engine_config);
   BatcherConfig config;
   config.max_batch = 8;
-  config.max_delay_us = 60'000'000;
   Batcher batcher(&engine, config);
 
   Itemset pair = CooccurringPair(fx.db);
+  DispatcherStall stall(&batcher);
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (int i = 0; i < 8; ++i) futures.push_back(batcher.Submit(pair));
+  stall.Release();
   uint64_t expected = OracleSupport(fx.db, pair);
   for (auto& future : futures) {
     StatusOr<QueryResult> result = future.get();
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->support, expected);
   }
-  // Eight submissions, one engine slot: seven coalesced, one exact scan.
+  // Eight submissions, one wave, one engine slot: seven coalesced, one
+  // exact scan.
+  EXPECT_EQ(batcher.batches_dispatched(), 2u);
   EXPECT_EQ(batcher.queries_coalesced(), 7u);
   EXPECT_EQ(engine.Stats().exact_counts, 1u);
 }
@@ -154,24 +228,10 @@ TEST(BatcherTest, BackpressureRejectsWhenQueueIsFull) {
   QueryEngine engine(&fx.db, &fx.map, engine_config);
   BatcherConfig config;
   config.max_batch = 1;
-  config.max_delay_us = 0;
   config.max_queue = 1;
   Batcher batcher(&engine, config);
 
-  // Stall the dispatch thread inside the first wave's callback so further
-  // submissions pile up deterministically.
-  std::promise<void> entered;
-  std::promise<void> release;
-  std::future<void> release_future = release.get_future();
-  ASSERT_TRUE(batcher
-                  .SubmitAsync(Itemset{1},
-                               [&](const StatusOr<QueryResult>&) {
-                                 entered.set_value();
-                                 release_future.wait();
-                               })
-                  .ok());
-  entered.get_future().wait();
-
+  DispatcherStall stall(&batcher);
   // Dispatcher is blocked: the first submit fills the queue (size 1), the
   // second hits the wall.
   ASSERT_TRUE(batcher.SubmitAsync(Itemset{2},
@@ -182,7 +242,7 @@ TEST(BatcherTest, BackpressureRejectsWhenQueueIsFull) {
   EXPECT_EQ(overflow.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(batcher.backpressure_rejects(), 1u);
 
-  release.set_value();
+  stall.Release();
   batcher.Shutdown();
 }
 
@@ -191,15 +251,26 @@ TEST(BatcherTest, ShutdownDrainsAcceptedWork) {
   QueryEngineConfig engine_config;
   engine_config.min_support = 1;
   QueryEngine engine(&fx.db, &fx.map, engine_config);
-  BatcherConfig config;
-  config.max_batch = 64;
-  config.max_delay_us = 60'000'000;  // the window never times out on its own
-  Batcher batcher(&engine, config);
+  Batcher batcher(&engine, BatcherConfig{});
+
+  DispatcherStall stall(&batcher);
   std::vector<std::future<StatusOr<QueryResult>>> futures;
   for (ItemId a = 0; a < 5; ++a) {
     futures.push_back(batcher.Submit(Itemset{a}));
   }
-  batcher.Shutdown();  // must close the window and drain, not hang
+  std::thread closer([&batcher] { batcher.Shutdown(); });
+  // Wait until admission has closed, so the five are drained by a batcher
+  // that is already shutting down. Probes admitted before then are
+  // accepted work like any other.
+  for (;;) {
+    Status probe = batcher.SubmitAsync(Itemset{7},
+                                       [](const StatusOr<QueryResult>&) {});
+    if (probe.code() == StatusCode::kFailedPrecondition) break;
+    EXPECT_TRUE(probe.ok()) << probe.ToString();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stall.Release();
+  closer.join();  // must drain, not hang
   for (auto& future : futures) {
     ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);

@@ -116,7 +116,6 @@ void RunLoopbackRound(uint32_t pool_threads) {
   QueryEngine engine(&fx.db, &fx.map, engine_config);
   BatcherConfig batcher_config;
   batcher_config.max_batch = 16;
-  batcher_config.max_delay_us = 200;
   Batcher batcher(&engine, batcher_config);
   ServerConfig server_config;
   server_config.port = 0;
@@ -290,7 +289,6 @@ TEST(ServeLoopbackTest, MetricsSlowlogAndStatsRoundTrip) {
   QueryEngine engine(&fx.db, &fx.map, engine_config);
   BatcherConfig batcher_config;
   batcher_config.max_batch = 8;
-  batcher_config.max_delay_us = 200;
   batcher_config.telemetry = &telemetry;
   Batcher batcher(&engine, batcher_config);
   ServerConfig server_config;

@@ -620,7 +620,10 @@ int CmdServe(const Args& args) {
         "      --threshold=FRACTION   minsup fraction for the bound screen\n"
         "      --bind=ADDR --port=N   0 picks an ephemeral port\n"
         "      --port-file=FILE       write the bound port (for scripts)\n"
-        "      --max-batch=N --max-delay-us=N --max-queue=N\n"
+        "      --max-batch=N          most queries per wave: whenever the\n"
+        "                             dispatcher is free it takes all that\n"
+        "                             are pending, up to N (no timer)\n"
+        "      --max-queue=N          pending queries before backpressure\n"
         "      --cache-capacity=N --shards=N\n"
         "      --max-connections=N --max-items=N --drain-timeout-ms=N\n"
         "serving telemetry is always on: STATS gains queue_* keys, METRICS\n"
@@ -662,8 +665,6 @@ int CmdServe(const Args& args) {
   serve::BatcherConfig batcher_config;
   batcher_config.max_batch =
       static_cast<uint32_t>(args.GetInt("max-batch", 64));
-  batcher_config.max_delay_us =
-      static_cast<uint32_t>(args.GetInt("max-delay-us", 1000));
   batcher_config.max_queue =
       static_cast<uint32_t>(args.GetInt("max-queue", 4096));
   batcher_config.telemetry = &telemetry;
