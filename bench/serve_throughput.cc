@@ -1,24 +1,20 @@
 // Serving-path throughput: the batched OSSM-backed query engine answering
 // a seeded stream of support queries with head-heavy reuse (so every tier
-// of the path — bound reject, singleton, cache hit, exact CSR scan — sees
-// real traffic). Two measured drives over the same stream:
+// of the path — bound reject, singleton, cache hit, exact scan — sees real
+// traffic). Two measured drives over the same stream:
 //   - serve_engine:  QueryEngine::QueryBatch in fixed-size waves (the
 //     engine's amortized exact tier, no thread handoff);
 //   - serve_batcher: the same stream pushed through the Batcher, which
 //     dispatches up to max-batch pending queries whenever it is free,
-//     completion-counted (the path a TCP request actually takes, minus the
-//     socket);
-//   - serve_planner_off / serve_planner_on: shared-prefix waves of unique
-//     tier-3 queries against map-free bitmap-backed engines, with the
-//     batch planner disabled then enabled — the planner's target shape,
-//     isolating the exact tier.
+//     completion-counted. Every query crosses to the dispatch thread here,
+//     while the TCP front-end answers tiers 1-2 on its own thread and
+//     submits only exact counts, so this drive measures the batcher under
+//     a full-stream backlog, not a socket request's path.
 // Reported values (picked up by bench_compare's direction heuristics):
-// serve_qps / batcher_qps / planner_qps / planner_speedup and
-// intersections_saved higher-is-better, cache_hit_ratio higher-is-better,
-// bound_reject_ratio informational. The telemetry block adds windowed
-// (last-1m) p50/p95/p99 per tier plus request and queue-wait percentiles,
-// and the planner drive adds per-wave percentiles — all *_us, so
-// lower-is-better.
+// serve_qps / batcher_qps higher-is-better, cache_hit_ratio
+// higher-is-better, bound_reject_ratio informational. The telemetry block
+// adds windowed (last-1m) p50/p95/p99 per tier plus request and queue-wait
+// percentiles — all *_us, so lower-is-better.
 
 #include <algorithm>
 #include <condition_variable>
@@ -188,120 +184,6 @@ int Run(int argc, char** argv) {
   }
   batcher.Shutdown();
 
-  // Drive 3: shared-prefix waves — the planner's target shape. Map-free
-  // engines (no bound screen) with the bitmap index forced on, and every
-  // query unique, so tiers 1-2 never answer and the drive times the exact
-  // tier alone, planner off vs on. Each 64-query wave draws all its
-  // queries as {3-item hot prefix} + {t1} + {t2}: the prefix items are the
-  // most selective in the domain and t1 precedes every t2 in the global
-  // selectivity order, so the planner's ordered forms provably align and
-  // shared prefixes cost one AND per wave instead of one per query.
-  //
-  // The drive runs over its own taller collection (16x the transactions):
-  // an AND's cost scales with row words, and serving bitmap indexes earn
-  // their keep on collections of >= 10^5 transactions — at bench height
-  // the rows are so short that per-query batch bookkeeping, identical in
-  // both lanes, would drown the AND savings under measurement.
-  const uint64_t planner_transactions = num_transactions * 16;
-  reporter.SetWorkload("planner_transactions", planner_transactions);
-  TransactionDatabase planner_db = [&] {
-    bench::BenchReporter::ScopedPhase phase(reporter, "generate_planner_db");
-    return bench::DriftingSynthetic(planner_transactions, num_items,
-                                    seed + 1);
-  }();
-  std::vector<std::vector<Itemset>> planner_waves;
-  {
-    std::vector<uint64_t> supports = planner_db.ComputeItemSupports();
-    std::vector<ItemId> order(num_items);
-    for (ItemId i = 0; i < num_items; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](ItemId a, ItemId b) {
-      if (supports[a] != supports[b]) return supports[a] < supports[b];
-      return a < b;
-    });
-    const size_t prefix_items = order.size() / 3;
-    const size_t num_triples = prefix_items / 3;
-    std::vector<ItemId> tails(order.begin() + prefix_items, order.end());
-    OSSM_CHECK(num_triples >= 1 && tails.size() > 40)
-        << "--items too small for the shared-prefix drive";
-    const size_t kHalf = 32;  // queries per (prefix, t1) slot
-    const size_t t1_slots = tails.size() - kHalf - 1;
-    // Unique (prefix, t1) per slot; t2 walks the tails after t1. Capped at
-    // the unique-query capacity so repeats never turn into cache hits.
-    uint64_t planner_queries =
-        std::min<uint64_t>(num_queries, num_triples * t1_slots * kHalf);
-    const uint64_t num_slots = planner_queries / kHalf;
-    for (uint64_t s = 0; s < num_slots; ++s) {
-      if (s % 2 == 0) planner_waves.emplace_back();
-      const size_t t1_index = static_cast<size_t>(s % t1_slots);
-      const size_t triple = static_cast<size_t>((s / t1_slots) % num_triples);
-      for (size_t k = 0; k < kHalf; ++k) {
-        Itemset query = {order[3 * triple], order[3 * triple + 1],
-                         order[3 * triple + 2], tails[t1_index],
-                         tails[t1_index + 1 + k]};
-        std::sort(query.begin(), query.end());
-        planner_waves.back().push_back(std::move(query));
-      }
-    }
-  }
-
-  QueryEngineConfig planner_engine_config;
-  planner_engine_config.min_support =
-      std::max<uint64_t>(1, planner_transactions * threshold_permille / 1000);
-  planner_engine_config.cache_capacity = cache_capacity;
-  planner_engine_config.bitmap_mode = serve::BitmapMode::kOn;
-  double planner_off_seconds = 0;
-  double planner_on_seconds = 0;
-  obs::HdrSnapshot planner_wave_us;
-  planner_engine_config.enable_planner = false;
-  QueryEngine planner_off_engine(&planner_db, nullptr, planner_engine_config);
-  {
-    bench::BenchReporter::ScopedPhase phase(reporter, "serve_planner_off");
-    WallTimer timer;
-    for (const std::vector<Itemset>& wave : planner_waves) {
-      StatusOr<std::vector<QueryResult>> results =
-          planner_off_engine.QueryBatch(wave);
-      OSSM_CHECK(results.ok()) << results.status().ToString();
-    }
-    planner_off_seconds = timer.ElapsedSeconds();
-  }
-  planner_engine_config.enable_planner = true;
-  QueryEngine planner_on_engine(&planner_db, nullptr, planner_engine_config);
-  {
-    bench::BenchReporter::ScopedPhase phase(reporter, "serve_planner_on");
-    WallTimer timer;
-    for (const std::vector<Itemset>& wave : planner_waves) {
-      WallTimer wave_timer;
-      StatusOr<std::vector<QueryResult>> results =
-          planner_on_engine.QueryBatch(wave);
-      OSSM_CHECK(results.ok()) << results.status().ToString();
-      planner_wave_us.Record(
-          static_cast<uint64_t>(wave_timer.ElapsedSeconds() * 1e6));
-    }
-    planner_on_seconds = timer.ElapsedSeconds();
-  }
-  uint64_t planner_query_count = 0;
-  for (const std::vector<Itemset>& wave : planner_waves) {
-    planner_query_count += wave.size();
-  }
-  serve::PlannerStats planner_stats = planner_on_engine.planner_stats();
-  double planner_off_qps =
-      planner_off_seconds > 0
-          ? static_cast<double>(planner_query_count) / planner_off_seconds
-          : 0;
-  double planner_qps =
-      planner_on_seconds > 0
-          ? static_cast<double>(planner_query_count) / planner_on_seconds
-          : 0;
-  double planner_speedup =
-      planner_on_seconds > 0 ? planner_off_seconds / planner_on_seconds : 0;
-  const uint64_t planner_naive_ands =
-      planner_stats.nodes_materialized + planner_stats.intersections_saved;
-  double planner_saved_ratio =
-      planner_naive_ands > 0
-          ? static_cast<double>(planner_stats.intersections_saved) /
-                static_cast<double>(planner_naive_ands)
-          : 0;
-
   serve::EngineStats stats = engine.Stats();
   double total = static_cast<double>(stats.queries);
   double serve_qps =
@@ -367,38 +249,12 @@ int Run(int argc, char** argv) {
       "cache_hit_ratio: %.3f   bound_reject_ratio: %.3f\n",
       serve_qps, batcher_qps, cache_hit_ratio, bound_reject_ratio);
 
-  std::printf(
-      "\nshared-prefix planner drive (%llu unique tier-3 queries):\n"
-      "planner_off_qps: %.0f   planner_qps: %.0f   speedup: %.2fx\n"
-      "intersections: %llu executed, %llu saved (%.1f%% of naive), "
-      "%llu LRU replays\n"
-      "planner wave p50/p95/p99 us: %.0f / %.0f / %.0f\n",
-      static_cast<unsigned long long>(planner_query_count), planner_off_qps,
-      planner_qps, planner_speedup,
-      static_cast<unsigned long long>(planner_stats.nodes_materialized),
-      static_cast<unsigned long long>(planner_stats.intersections_saved),
-      planner_saved_ratio * 100.0,
-      static_cast<unsigned long long>(planner_stats.intermediate_hits),
-      planner_wave_us.Percentile(0.50), planner_wave_us.Percentile(0.95),
-      planner_wave_us.Percentile(0.99));
-
   reporter.AddValue("serve_qps", serve_qps);
   reporter.AddValue("batcher_qps", batcher_qps);
   reporter.AddValue("cache_hit_ratio", cache_hit_ratio);
   reporter.AddValue("bound_reject_ratio", bound_reject_ratio);
   reporter.AddValue("coalesced",
                     static_cast<double>(batcher.queries_coalesced()));
-  reporter.AddValue("planner_off_qps", planner_off_qps);
-  reporter.AddValue("planner_qps", planner_qps);
-  reporter.AddValue("planner_speedup", planner_speedup);
-  reporter.AddValue("intersections_saved",
-                    static_cast<double>(planner_stats.intersections_saved));
-  reporter.AddValue("planner_saved_ratio", planner_saved_ratio);
-  reporter.AddValue("planner_lru_replays",
-                    static_cast<double>(planner_stats.intermediate_hits));
-  reporter.AddValue("planner_wave_p50_us", planner_wave_us.Percentile(0.50));
-  reporter.AddValue("planner_wave_p95_us", planner_wave_us.Percentile(0.95));
-  reporter.AddValue("planner_wave_p99_us", planner_wave_us.Percentile(0.99));
   return reporter.Finish();
 }
 

@@ -196,12 +196,6 @@ BackendOutcome RunBackend(bench::BenchReporter& reporter,
 
   QueryEngineConfig engine_config;
   engine_config.min_support = min_support;
-  // The batch planner materializes every shared intermediate as a full
-  // heap bitmap row (plus a 32-row cross-wave LRU) — O(wave x row bytes)
-  // of private memory, which is exactly what the cap forbids, and this
-  // stream of independent random itemsets shares no prefixes to plan.
-  // Answers are bit-identical with the planner off.
-  engine_config.enable_planner = false;
   QueryEngine engine(&db, &map, engine_config);
   uint64_t serve_hash = kFnvOffset;
   double serve_seconds;

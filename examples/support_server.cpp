@@ -7,7 +7,9 @@
 //      the collection;
 //   2. singletons read exactly off the map's row totals, and previously
 //      counted itemsets replay from a sharded LRU cache;
-//   3. everything else shares one batched, deterministic CSR scan.
+//   3. everything else shares one batched, deterministic exact count.
+// The front-end answers tiers 1-2 on its own thread; only tier 3 is
+// batched.
 //
 // This example runs the whole stack in-process: it starts the TCP
 // front-end on an ephemeral loopback port, plays a client against it, and
@@ -73,8 +75,9 @@ int main() {
     return 1;
   }
 
-  // The serving stack: engine (three tiers) <- batcher (coalesces what
-  // queues during a wave) <- TCP front-end. Threshold 1% of the collection.
+  // The serving stack: engine (three tiers) <- batcher (coalesces the
+  // exact counts that queue during a wave) <- TCP front-end (answers tiers
+  // 1-2 itself). Threshold 1% of the collection.
   serve::QueryEngineConfig engine_config;
   engine_config.min_support = db->num_transactions() / 100;
   serve::QueryEngine engine(&*db, &build->map, engine_config);

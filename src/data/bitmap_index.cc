@@ -122,14 +122,6 @@ BitmapIndex BitmapIndex::Build(const TransactionDatabase& db) {
   return index;
 }
 
-uint64_t BitmapIndex::AndRow(std::span<const uint64_t> words, ItemId item,
-                             std::span<uint64_t> out) const {
-  OSSM_DCHECK(words.size() == words_per_row_);
-  OSSM_DCHECK(out.size() == words_per_row_);
-  return kernels::AndCount(words.data(), row(item).data(), out.data(),
-                           words_per_row_);
-}
-
 uint64_t BitmapIndex::Support(std::span<const ItemId> itemset,
                               AlignedVector<uint64_t>* scratch) const {
   OSSM_DCHECK(!itemset.empty());

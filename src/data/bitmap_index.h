@@ -78,15 +78,6 @@ class BitmapIndex {
   uint64_t Support(std::span<const ItemId> itemset,
                    AlignedVector<uint64_t>* scratch) const;
 
-  // out := words AND row(item), the one AND step the batch planner
-  // composes plans from: `words` is a materialized intermediate (or a row)
-  // and `out` is caller-owned scratch of words_per_row() words. `out` may
-  // alias `words` for an in-place step. Returns popcount(out) — the count
-  // is fused into the underlying kernel, so it rides along free; callers
-  // that only want the intersection ignore it.
-  uint64_t AndRow(std::span<const uint64_t> words, ItemId item,
-                  std::span<uint64_t> out) const;
-
  private:
   void RepointToHeap();
 

@@ -396,12 +396,11 @@ MetricDirection DirectionForCounter(std::string_view counter_name) {
   if (Contains(counter_name, "pruned") ||
       Contains(counter_name, "cache_hits") ||
       Contains(counter_name, "abandoned") ||
-      Contains(counter_name, "saved") ||
       Contains(counter_name, "eliminated") ||
       Contains(counter_name, "derived")) {
     // Abandoned joins are merges cut short — avoided work, like prunes;
-    // saved intersections are the batch planner's avoided ANDs; eliminated
-    // candidates and derived supports are counting passes never paid for.
+    // eliminated candidates and derived supports are counting passes never
+    // paid for.
     return MetricDirection::kHigherIsBetter;
   }
   // The typical instruments — candidates counted, bytes/pages read, bound
@@ -434,8 +433,8 @@ MetricDirection DirectionForValue(std::string_view value_name) {
       Contains(value_name, "qps") || Contains(value_name, "hit_ratio") ||
       Contains(value_name, "gib_per_s") ||
       Contains(value_name, "elems_per_s") ||
-      Contains(value_name, "_ipc") || Contains(value_name, "saved") ||
-      Contains(value_name, "eliminated") || Contains(value_name, "derived")) {
+      Contains(value_name, "_ipc") || Contains(value_name, "eliminated") ||
+      Contains(value_name, "derived")) {
     return MetricDirection::kHigherIsBetter;
   }
   if (Contains(value_name, "seconds") || Contains(value_name, "_us") ||

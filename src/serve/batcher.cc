@@ -1,7 +1,6 @@
 #include "serve/batcher.h"
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/obs.h"
@@ -133,61 +132,40 @@ void Batcher::RunBatch(std::vector<Pending> wave) {
     OSSM_HISTOGRAM_RECORD("serve.batch_size", wave.size());
   }
 
-  // In-wave dedup: identical itemsets ride one engine slot and fan the
-  // answer back out. (The engine dedups too, but doing it here keeps the
-  // per-slot callback lists in one place.)
-  std::unordered_map<uint64_t, std::vector<size_t>> slots_by_hash;
-  std::vector<Itemset> unique;
-  std::vector<std::vector<size_t>> owners;  // wave indices per unique slot
-  for (size_t i = 0; i < wave.size(); ++i) {
-    uint64_t hash = HashItemset(wave[i].itemset);
-    bool found = false;
-    for (size_t slot : slots_by_hash[hash]) {
-      if (unique[slot] == wave[i].itemset) {
-        owners[slot].push_back(i);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      slots_by_hash[hash].push_back(unique.size());
-      owners.push_back({i});
-      unique.push_back(wave[i].itemset);
-    }
-  }
-  coalesced_.fetch_add(wave.size() - unique.size(),
-                       std::memory_order_relaxed);
-  OSSM_COUNTER_ADD("serve.batcher.coalesced", wave.size() - unique.size());
+  std::vector<Itemset> itemsets;
+  itemsets.reserve(wave.size());
+  for (Pending& pending : wave) itemsets.push_back(std::move(pending.itemset));
+  // record_requests off: the batcher records each request itself below,
+  // with the real enqueue-to-answer latency and queue-wait split. The
+  // engine dedups the wave: identical itemsets ride one answer.
+  uint64_t duplicates = 0;
+  StatusOr<std::vector<QueryResult>> results = engine_->QueryBatch(
+      std::span<const Itemset>(itemsets.data(), itemsets.size()),
+      QueryBatchOptions{.record_requests = false, .duplicates = &duplicates});
+  coalesced_.fetch_add(duplicates, std::memory_order_relaxed);
+  OSSM_COUNTER_ADD("serve.batcher.coalesced", duplicates);
   batches_.fetch_add(1, std::memory_order_relaxed);
   OSSM_COUNTER_INC("serve.batcher.batches");
-
-  // record_requests off: the batcher records each request itself below,
-  // with the real enqueue-to-answer latency and queue-wait split.
-  StatusOr<std::vector<QueryResult>> results = engine_->QueryBatch(
-      std::span<const Itemset>(unique.data(), unique.size()),
-      QueryBatchOptions{.record_requests = false});
   const auto wave_end = std::chrono::steady_clock::now();
-  for (size_t slot = 0; slot < owners.size(); ++slot) {
+  for (size_t i = 0; i < wave.size(); ++i) {
     StatusOr<QueryResult> answer =
-        results.ok() ? StatusOr<QueryResult>((*results)[slot])
+        results.ok() ? StatusOr<QueryResult>((*results)[i])
                      : StatusOr<QueryResult>(results.status());
-    for (size_t i : owners[slot]) {
-      // Record before the callback releases the reply: a client holding
-      // every answer must find every request in METRICS and SLOWLOG.
-      if (telemetry != nullptr && answer.ok()) {
-        const uint64_t total_us = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                wave_end - wave[i].enqueued)
-                .count());
-        telemetry->RecordRequest(wave[i].itemset, *answer, queue_wait_us[i],
-                                 total_us);
-      }
-      wave[i].callback(answer);
+    // Record before the callback releases the reply: a client holding
+    // every answer must find every request in METRICS and SLOWLOG.
+    if (telemetry != nullptr && answer.ok()) {
+      const uint64_t total_us = static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              wave_end - wave[i].enqueued)
+              .count());
+      telemetry->RecordRequest(itemsets[i], *answer, queue_wait_us[i],
+                               total_us);
     }
+    wave[i].callback(answer);
   }
   if (telemetry != nullptr) {
-    telemetry->ObserveCache(engine_->cache().hits(),
-                            engine_->cache().misses());
+    EngineStats stats = engine_->Stats();
+    telemetry->ObserveCache(stats.cache_hits, stats.exact_counts);
   }
 }
 

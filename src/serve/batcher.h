@@ -41,13 +41,14 @@ struct BatcherConfig {
 
 // Coalesces single-itemset submissions into QueryEngine::QueryBatch calls:
 // a dedicated dispatch thread sleeps while the queue is empty and, whenever
-// it is free, takes everything pending (up to max_batch) as one wave,
-// deduplicates identical itemsets within the wave, runs one batched engine
-// call, and completes every submission. There is no timer: a lone query
-// leaves at once, and queries that arrive while a wave runs share the next
-// one, so wave size follows load. Batching is what amortizes the exact
-// tier — a wave of cache misses costs one CSR sweep instead of one per
-// query.
+// it is free, takes everything pending (up to max_batch) as one wave, runs
+// one batched engine call over it (the engine dedups identical itemsets),
+// and completes every submission. There is no timer: a lone query leaves
+// at once, and queries that arrive while a wave runs share the next one,
+// so wave size follows load. Batching is what amortizes the exact tier — a
+// wave of cache misses costs one CSR sweep instead of one per query — so
+// the TCP front-end submits only queries that
+// QueryEngine::TryAnswerWithoutScan could not answer on its own thread.
 class Batcher {
  public:
   // Completion callback; runs on the dispatch thread, so it must be cheap

@@ -53,6 +53,8 @@
 //   queue_wait_p50_us queue_wait_p95_us queue_wait_p99_us
 // The queue_* keys report the batcher's live queue depth and the
 // since-boot queue-wait distribution; they read 0 without serve telemetry.
+// batches, coalesced and queue_* cover only queries that needed an exact
+// count: the server answers the other tiers without queueing them.
 #include <string>
 #include <string_view>
 

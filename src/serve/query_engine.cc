@@ -60,23 +60,12 @@ std::string_view QueryTierName(QueryTier tier) {
   return "unknown";
 }
 
-namespace {
-
-PlannerConfig PlannerConfigFor(const QueryEngineConfig& config) {
-  PlannerConfig planner;
-  planner.intermediate_cache_entries = config.planner_cache_entries;
-  return planner;
-}
-
-}  // namespace
-
 QueryEngine::QueryEngine(const TransactionDatabase* db, SegmentSupportMap* map,
                          const QueryEngineConfig& config)
     : db_(db),
       map_(map),
       config_(config),
-      cache_(config.cache_capacity, config.cache_shards),
-      planner_(PlannerConfigFor(config)) {
+      cache_(config.cache_capacity, config.cache_shards) {
   OSSM_CHECK(db_ != nullptr);
   if (map_ != nullptr) {
     OSSM_CHECK_EQ(map_->num_items(), db_->num_items())
@@ -122,8 +111,8 @@ Status QueryEngine::ValidateItemset(std::span<const ItemId> itemset) const {
   return Status::OK();
 }
 
-bool QueryEngine::TryAnswerWithoutScan(std::span<const ItemId> itemset,
-                                       QueryResult* result) {
+bool QueryEngine::AnswerFromTiersOneTwo(std::span<const ItemId> itemset,
+                                        QueryResult* result) {
   if (map_ != nullptr) {
     std::shared_lock<std::shared_mutex> lock(map_mu_);
     uint64_t bound = map_->UpperBound(itemset);
@@ -172,27 +161,16 @@ bool QueryEngine::TryAnswerWithoutScan(std::span<const ItemId> itemset,
 std::vector<uint64_t> QueryEngine::BitmapCounts(
     const std::vector<Itemset>& needed) {
   OSSM_TRACE_SPAN("serve.bitmap_scan");
-  std::call_once(bitmap_once_, [this] {
-    bitmap_ = BitmapIndex::Build(*db_);
-    planner_.AttachIndex(&bitmap_);
+  std::call_once(bitmap_once_, [this] { bitmap_ = BitmapIndex::Build(*db_); });
+  // Fan per itemset: each answer is an index-addressed exact popcount, so
+  // results are bit-identical for any OSSM_THREADS.
+  std::vector<uint64_t> totals(needed.size(), 0);
+  parallel::ParallelForEach(needed.size(), [&](uint64_t q) {
+    thread_local AlignedVector<uint64_t> scratch;
+    totals[q] = bitmap_.Support(
+        std::span<const ItemId>(needed[q].data(), needed[q].size()),
+        &scratch);
   });
-  std::vector<uint64_t> totals;
-  if (config_.enable_planner) {
-    // Shared-intersection plan: common prefixes across the batch cost one
-    // AND per wave; answers are the same exact popcounts either way.
-    totals = planner_.Count(
-        std::span<const Itemset>(needed.data(), needed.size()));
-  } else {
-    // Fan per itemset: each answer is an index-addressed exact popcount,
-    // so results are bit-identical for any OSSM_THREADS.
-    totals.assign(needed.size(), 0);
-    parallel::ParallelForEach(needed.size(), [&](uint64_t q) {
-      thread_local AlignedVector<uint64_t> scratch;
-      totals[q] = bitmap_.Support(
-          std::span<const ItemId>(needed[q].data(), needed[q].size()),
-          &scratch);
-    });
-  }
   exact_counts_.fetch_add(needed.size(), std::memory_order_relaxed);
   bitmap_counts_.fetch_add(needed.size(), std::memory_order_relaxed);
   OSSM_COUNTER_ADD("serve.exact_counts", needed.size());
@@ -231,33 +209,36 @@ std::vector<uint64_t> QueryEngine::ExactCounts(
 }
 
 StatusOr<QueryResult> QueryEngine::Query(std::span<const ItemId> itemset) {
+  Itemset items(itemset.begin(), itemset.end());
+  QueryResult result;
+  StatusOr<bool> answered = TryAnswerWithoutScan(items, &result);
+  if (!answered.ok()) return answered.status();
+  if (*answered) return result;
+  StatusOr<std::vector<QueryResult>> exact =
+      QueryBatch(std::span<const Itemset>(&items, 1));
+  if (!exact.ok()) return exact.status();
+  return (*exact)[0];
+}
+
+StatusOr<bool> QueryEngine::TryAnswerWithoutScan(const Itemset& itemset,
+                                                 QueryResult* result) {
   OSSM_RETURN_IF_ERROR(ValidateItemset(itemset));
+  ServeTelemetry* telemetry = config_.telemetry;
+  const bool metrics = obs::MetricsEnabled();
   WallTimer timer;
+  if (!AnswerFromTiersOneTwo(itemset, result)) return false;
   queries_.fetch_add(1, std::memory_order_relaxed);
   OSSM_COUNTER_INC("serve.queries");
-
-  QueryResult result;
-  if (!TryAnswerWithoutScan(itemset, &result)) {
-    std::vector<Itemset> needed(1);
-    needed[0].assign(itemset.begin(), itemset.end());
-    std::vector<uint64_t> counts = ExactCounts(needed);
-    result.support = counts[0];
-    result.tier = QueryTier::kExact;
-    result.frequent = counts[0] >= config_.min_support;
-    cache_.Insert(itemset, counts[0]);
+  if (metrics || telemetry != nullptr) {
+    const uint64_t us = static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
+    if (metrics) RecordTierLatency(result->tier, us);
+    if (telemetry != nullptr) {
+      telemetry->RecordTierLatency(result->tier, us);
+      // Answered where it arrived: no queue in front of it.
+      telemetry->RecordRequest(itemset, *result, /*queue_wait_us=*/0, us);
+    }
   }
-  const uint64_t us = static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
-  if (obs::MetricsEnabled()) {
-    OSSM_HISTOGRAM_RECORD("serve.query_us", us);
-    RecordTierLatency(result.tier, us);
-  }
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->RecordTierLatency(result.tier, us);
-    // A direct Query() is its own end-to-end request (no queue in front).
-    Itemset items(itemset.begin(), itemset.end());
-    config_.telemetry->RecordRequest(items, result, /*queue_wait_us=*/0, us);
-  }
-  return result;
+  return true;
 }
 
 StatusOr<std::vector<QueryResult>> QueryEngine::QueryBatch(
@@ -290,11 +271,14 @@ StatusOr<std::vector<QueryResult>> QueryEngine::QueryBatch(
     alias[i] = *it;
     if (inserted) unique_order.push_back(i);
   }
+  if (options.duplicates != nullptr) {
+    *options.duplicates = itemsets.size() - unique_order.size();
+  }
 
   // Tiers 1-2 per unique itemset; survivors share one exact pass. Tier
   // latencies go to both sinks — the OSSM_METRICS histograms and the
-  // serving telemetry — exactly as Query() records them, so batched
-  // traffic is visible in serve.tier.* alongside single-query traffic.
+  // serving telemetry — exactly as TryAnswerWithoutScan records them, so
+  // batched traffic is visible in serve.tier.* alongside inline answers.
   ServeTelemetry* telemetry = config_.telemetry;
   const bool metrics = obs::MetricsEnabled();
   // Per-query clock reads only when a sink consumes them.
@@ -304,14 +288,14 @@ StatusOr<std::vector<QueryResult>> QueryEngine::QueryBatch(
   std::vector<size_t> needed_owner;  // index of the unique query it answers
   for (size_t i : unique_order) {
     if (!timing) {
-      if (!TryAnswerWithoutScan(itemsets[i], &results[i])) {
+      if (!AnswerFromTiersOneTwo(itemsets[i], &results[i])) {
         needed.push_back(itemsets[i]);
         needed_owner.push_back(i);
       }
       continue;
     }
     WallTimer tier_timer;
-    if (!TryAnswerWithoutScan(itemsets[i], &results[i])) {
+    if (!AnswerFromTiersOneTwo(itemsets[i], &results[i])) {
       needed.push_back(itemsets[i]);
       needed_owner.push_back(i);
     } else {
@@ -391,10 +375,6 @@ EngineStats QueryEngine::Stats() const {
   stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   stats.exact_counts = exact_counts_.load(std::memory_order_relaxed);
   stats.bitmap_counts = bitmap_counts_.load(std::memory_order_relaxed);
-  PlannerStats planner = planner_.Stats();
-  stats.planner_nodes = planner.nodes_materialized;
-  stats.planner_saved = planner.intersections_saved;
-  stats.planner_cache_hits = planner.intermediate_hits;
   return stats;
 }
 

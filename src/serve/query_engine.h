@@ -15,7 +15,6 @@
 #include "data/bitmap_index.h"
 #include "data/item.h"
 #include "data/transaction_database.h"
-#include "serve/planner.h"
 #include "serve/support_cache.h"
 
 namespace ossm {
@@ -51,11 +50,10 @@ struct EngineStats {
   // Of the exact counts, how many were answered by the vertical bitmap
   // index rather than the CSR sweep.
   uint64_t bitmap_counts = 0;
-  // Batch-planner tallies (serve/planner.h); zero when the planner is off
-  // or tier 3 runs on the CSR sweep.
-  uint64_t planner_nodes = 0;       // intermediate bitmaps materialized
-  uint64_t planner_saved = 0;       // intersections avoided by sharing
-  uint64_t planner_cache_hits = 0;  // cross-wave intermediate LRU replays
+  // Inert: always 0. Kept only because the repository benchmark
+  // (perfbench/src/serve_workload.cc) still reads it; it goes together
+  // with that read.
+  uint64_t planner_saved = 0;
 };
 
 // Whether tier-3 exact counts run on the vertical bitmap index
@@ -80,16 +78,11 @@ struct QueryEngineConfig {
   // histograms recorded on every query, independent of OSSM_METRICS.
   // Null disables. Must outlive the engine.
   ServeTelemetry* telemetry = nullptr;
-  // Shared-intersection batch planner over the bitmap index
-  // (serve/planner.h): the tier-3 survivors of a batch are planned as one
-  // common-prefix DAG, each shared intermediate bitmap materialized
-  // exactly once per wave. Only applies when the bitmap index is in use;
-  // the sparse-data CSR sweep is unchanged either way. Answers are
-  // bit-identical with the planner on or off.
+  // Inert: the engine ignores it (tier 3 has one implementation per
+  // storage shape, chosen by bitmap_mode). Kept only because the
+  // repository benchmark (perfbench/src/serve_workload.cc) still assigns
+  // it; it goes together with that assignment.
   bool enable_planner = true;
-  // Entries in the planner's cross-wave LRU of hot intermediate bitmaps
-  // (each holds one full bitmap row). 0 keeps sharing wave-local only.
-  size_t planner_cache_entries = 32;
 };
 
 // Per-call knobs for QueryBatch.
@@ -102,6 +95,9 @@ struct QueryBatchOptions {
   // passes false: it records requests itself with the real
   // enqueue-to-answer latency and queue-wait split.
   bool record_requests = true;
+  // When non-null, receives how many itemsets of the batch repeated an
+  // earlier one and rode its answer (the Batcher's coalesced tally).
+  uint64_t* duplicates = nullptr;
 };
 
 // Answers itemset-support queries against an immutable TransactionDatabase,
@@ -114,14 +110,16 @@ struct QueryBatchOptions {
 //      the sharded LRU (singletons answer from exact row totals — the
 //      map's when one is attached, the database's own otherwise — without
 //      entering the cache at all);
-//   3. exact — either a CSR containment scan over the database, fanned
-//      across the parallel::ThreadPool in deterministic shards (a batch
-//      costs one sweep of the collection regardless of batch size), or —
-//      when the database is dense enough (BitmapMode) — AND+popcount over
-//      a lazily-built vertical bitmap index, planned per batch as a
-//      shared-intersection DAG (serve/planner.h) so common prefixes cost
-//      one AND per wave instead of one per query. All paths produce the
-//      same exact supports.
+//   3. exact — one implementation per storage shape: on sparse data a CSR
+//      containment scan over the database, fanned across the
+//      parallel::ThreadPool in deterministic shards (a batch costs one
+//      sweep of the collection regardless of batch size); on data dense
+//      enough for BitmapMode, AND+popcount of each itemset's rows in a
+//      lazily-built vertical bitmap index, fanned per itemset. Both
+//      produce the same exact supports.
+//
+// Tiers 1-2 are cheap enough to answer on the thread that receives a
+// query (TryAnswerWithoutScan); only tier 3 is worth batching.
 //
 // Consistency contract: the database is immutable and exact answers are
 // always computed against it. The attached map may be *appended to* while
@@ -142,16 +140,29 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  // Answers one itemset. The itemset must be strictly increasing and every
-  // item in [0, num_items); otherwise kInvalidArgument.
+  // Answers one itemset: TryAnswerWithoutScan, then a one-element
+  // QueryBatch when only an exact count will do. The itemset must be
+  // strictly increasing and every item in [0, num_items); otherwise
+  // kInvalidArgument.
   StatusOr<QueryResult> Query(std::span<const ItemId> itemset);
 
+  // Tiers 1-2 as one complete request. Checks the query contract
+  // (kInvalidArgument otherwise), then tries the bound screen, the
+  // singleton totals and the cache. On an answer it fills *result, counts
+  // the query, records its tier latency and one request (queue wait 0) in
+  // both sinks, and returns true, so the caller may reply at once. Returns
+  // false, having counted and recorded nothing, when only an exact count
+  // can answer; the caller then owes the query a QueryBatch (directly or
+  // through a Batcher wave). Takes the map lock shared, so a concurrent
+  // WithMapExclusive stalls it.
+  StatusOr<bool> TryAnswerWithoutScan(const Itemset& itemset,
+                                      QueryResult* result);
+
   // Answers a batch in one pass: identical itemsets are deduplicated and
-  // the survivors of tiers 1-2 share one exact tier — a planned
-  // shared-intersection pass over the bitmap index (serve/planner.h), or
-  // a single parallel CSR sweep when the index is off — with results back
-  // in input order. Results are bit-identical to issuing the queries one
-  // at a time (for any OSSM_THREADS, any kernel ISA, planner on or off).
+  // the survivors of tiers 1-2 share one exact tier (the bitmap AND per
+  // itemset, or a single parallel CSR sweep), with results back in input
+  // order. Results are bit-identical to issuing the queries one at a time
+  // (for any OSSM_THREADS, any kernel ISA, either tier-3 implementation).
   StatusOr<std::vector<QueryResult>> QueryBatch(
       std::span<const Itemset> itemsets);
   StatusOr<std::vector<QueryResult>> QueryBatch(
@@ -175,8 +186,6 @@ class QueryEngine {
   // lock, so it is safe against a concurrent WithMapExclusive.
   uint32_t map_segments() const;
   const SupportCache& cache() const { return cache_; }
-  // Planner tallies (also folded into Stats(); tests read the full set).
-  PlannerStats planner_stats() const { return planner_.Stats(); }
   // True when tier-3 exact counts run on the vertical bitmap index (the
   // resolved BitmapMode decision; the index itself builds lazily on the
   // first exact count).
@@ -185,10 +194,11 @@ class QueryEngine {
   EngineStats Stats() const;
 
  private:
-  // Tier 1+2 for one itemset. Returns true when answered; otherwise the
-  // caller owes an exact count.
-  bool TryAnswerWithoutScan(std::span<const ItemId> itemset,
-                            QueryResult* result);
+  // Tier 1+2 for one valid itemset, tallied per tier but not timed or
+  // recorded. Returns true when answered; otherwise the caller owes an
+  // exact count.
+  bool AnswerFromTiersOneTwo(std::span<const ItemId> itemset,
+                             QueryResult* result);
   // Exact supports of every itemset in `needed`, via BitmapCounts or the
   // deterministic pool-sharded CSR sweep.
   std::vector<uint64_t> ExactCounts(const std::vector<Itemset>& needed);
@@ -205,7 +215,6 @@ class QueryEngine {
   bool use_bitmaps_ = false;
   std::once_flag bitmap_once_;
   BitmapIndex bitmap_;
-  BatchPlanner planner_;
 
   // Map-free singleton fast path: the database's own row totals, computed
   // once on the first singleton query of an engine without a map.

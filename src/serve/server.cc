@@ -1,6 +1,7 @@
 // Linux epoll implementation of the TCP front-end. Everything here runs on
-// the single event-loop thread except the batcher completion callbacks,
-// which only fill their own Slot (release-store) and kick the eventfd.
+// the single event-loop thread, scan-free query answers included, except
+// the batcher completion callbacks, which only fill their own Slot
+// (release-store) and kick the eventfd.
 
 #include "serve/server.h"
 
@@ -318,6 +319,19 @@ void SupportServer::DispatchLines(Connection& conn) {
         return;
       case RequestKind::kQuery: {
         conn.slots.push_back(slot);
+        // Tiers 1-2 answer here, on the loop thread; only queries that need
+        // an exact count cross to the batcher (whose wave screens them
+        // again, so a twin counted meanwhile replays from the cache). The
+        // slot queue keeps replies in request order either way.
+        QueryResult inline_result;
+        StatusOr<bool> answered =
+            engine_->TryAnswerWithoutScan(request->itemset, &inline_result);
+        if (!answered.ok() || *answered) {
+          slot->text = answered.ok() ? FormatResult(inline_result)
+                                     : FormatError(answered.status());
+          slot->done.store(true, std::memory_order_release);
+          break;
+        }
         int wake_fd = wake_fd_;
         // End-to-end request flow: the arrow spans front-end admission to
         // the completion callback, bracketing the batcher's own
@@ -339,8 +353,8 @@ void SupportServer::DispatchLines(Connection& conn) {
               (void)ignored;
             });
         if (!admitted.ok()) {
-          // Backpressure (kResourceExhausted) or a malformed itemset that
-          // survived parsing: answer inline, connection stays up.
+          // Backpressure (kResourceExhausted) or shutdown: answer inline,
+          // connection stays up.
           slot->text = FormatError(admitted);
           slot->done.store(true, std::memory_order_release);
         }
@@ -469,8 +483,6 @@ std::string SupportServer::StatsLine() const {
           " queue_wait_p50_us=" + std::to_string(wait_p50) +
           " queue_wait_p95_us=" + std::to_string(wait_p95) +
           " queue_wait_p99_us=" + std::to_string(wait_p99);
-  line += " planner_nodes=" + std::to_string(stats.planner_nodes) +
-          " planner_saved=" + std::to_string(stats.planner_saved);
   return line;
 }
 
@@ -479,8 +491,8 @@ std::string SupportServer::MetricsText() const {
   ServeCounterInputs inputs;
   inputs.engine = engine_->Stats();
   inputs.cache_size = engine_->cache().size();
-  inputs.cache_hits = engine_->cache().hits();
-  inputs.cache_misses = engine_->cache().misses();
+  inputs.cache_hits = inputs.engine.cache_hits;
+  inputs.cache_misses = inputs.engine.exact_counts;
   inputs.batches = batcher_->batches_dispatched();
   inputs.coalesced = batcher_->queries_coalesced();
   inputs.backpressure_rejects = batcher_->backpressure_rejects();

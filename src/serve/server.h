@@ -46,9 +46,11 @@ struct ServerConfig {
 
 // The epoll front-end (Linux-only, like the CI targets): one event-loop
 // thread multiplexing every connection, speaking the line protocol of
-// serve/protocol.h. Queries flow loop -> Batcher -> QueryEngine ->
-// completion callback -> loop, with per-connection response slots keeping
-// answers in request order even though batches complete out of order.
+// serve/protocol.h. The loop answers tiers 1-2 itself
+// (QueryEngine::TryAnswerWithoutScan); queries that need an exact count
+// flow loop -> Batcher -> QueryEngine -> completion callback -> loop, with
+// per-connection response slots keeping answers in request order even
+// though batches complete out of order.
 //
 // Graceful shutdown (the SIGTERM path): Shutdown() stops accepting and
 // reading, lets every already-admitted query finish its batch, flushes the
@@ -81,7 +83,7 @@ class SupportServer {
 
  private:
   // One response slot per request, completed either inline (PING/INFO/
-  // STATS/errors) or by a batcher callback. `text` is written before the
+  // STATS/errors/scan-free answers) or by a batcher callback. `text` is written before the
   // release-store of `done`; the loop's acquire-load makes it visible.
   struct Slot {
     std::atomic<bool> done{false};

@@ -207,12 +207,6 @@ std::string ServeTelemetry::PrometheusText(const ServeCounterInputs& inputs) {
                 inputs.engine.exact_counts);
   AppendCounter(out, "ossm_serve_bitmap_counts_total",
                 inputs.engine.bitmap_counts);
-  AppendCounter(out, "ossm_serve_planner_nodes_total",
-                inputs.engine.planner_nodes);
-  AppendCounter(out, "ossm_serve_planner_saved_total",
-                inputs.engine.planner_saved);
-  AppendCounter(out, "ossm_serve_planner_cache_hits_total",
-                inputs.engine.planner_cache_hits);
   AppendCounter(out, "ossm_serve_batches_total", inputs.batches);
   AppendCounter(out, "ossm_serve_coalesced_total", inputs.coalesced);
   AppendCounter(out, "ossm_serve_backpressure_rejects_total",

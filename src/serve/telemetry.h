@@ -59,8 +59,10 @@ class SlowQueryLog {
 struct ServeCounterInputs {
   EngineStats engine;
   uint64_t cache_size = 0;
-  uint64_t cache_hits = 0;    // SupportCache lifetime hits
-  uint64_t cache_misses = 0;  // SupportCache lifetime misses
+  // Cache-eligible answers: lifetime cache hits, and exact counts (each a
+  // query the cache missed).
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
   uint64_t batches = 0;
   uint64_t coalesced = 0;
   uint64_t backpressure_rejects = 0;
@@ -115,8 +117,9 @@ class ServeTelemetry {
   void RecordRequest(const Itemset& itemset, const QueryResult& result,
                      uint64_t queue_wait_us, uint64_t total_us);
   void SetQueueDepth(uint64_t depth);
-  // Cumulative cache tallies (SupportCache::hits()/misses()); folded into
-  // the windowed hit-ratio ring. Called per wave and per scrape.
+  // Cumulative cache tallies (EngineStats cache_hits and exact_counts);
+  // folded into the windowed hit-ratio ring. Called per wave and per
+  // scrape.
   void ObserveCache(uint64_t hits, uint64_t misses);
 
   // -- reading --

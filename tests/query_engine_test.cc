@@ -129,6 +129,40 @@ TEST(QueryEngineTest, ExactThenCacheHitAgree) {
   EXPECT_EQ(engine.Stats().cache_hits, 1u);
 }
 
+TEST(QueryEngineTest, TryAnswerWithoutScanRecordsOnlyWhatItAnswers) {
+  Fixture fx = MakeFixture();
+  ServeTelemetry telemetry{ServeTelemetry::Config{}};
+  QueryEngineConfig config;
+  config.min_support = 1;  // no rejects
+  config.telemetry = &telemetry;
+  QueryEngine engine(&fx.db, &fx.map, config);
+  QueryResult result;
+  EXPECT_EQ(engine.TryAnswerWithoutScan(Itemset{17, 3}, &result)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // Never counted: only a scan can answer, so nothing is counted or
+  // recorded; the caller owes it a QueryBatch.
+  Itemset pair = {3, 17};
+  StatusOr<bool> miss = engine.TryAnswerWithoutScan(pair, &result);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_FALSE(*miss);
+  EXPECT_EQ(engine.Stats().queries, 0u);
+  EXPECT_EQ(telemetry.request_histogram().count(), 0u);
+
+  // Once counted, the cache answers it as one complete request.
+  ASSERT_TRUE(engine.QueryBatch(std::vector<Itemset>{pair}).ok());
+  StatusOr<bool> hit = engine.TryAnswerWithoutScan(pair, &result);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(*hit);
+  EXPECT_EQ(result.tier, QueryTier::kCacheHit);
+  EXPECT_EQ(result.support, OracleSupport(fx.db, pair));
+  EXPECT_EQ(engine.Stats().queries, 2u);
+  EXPECT_EQ(telemetry.request_histogram().count(), 2u);
+  EXPECT_EQ(telemetry.tier_histogram(QueryTier::kCacheHit).count(), 1u);
+}
+
 TEST(QueryEngineTest, WorksWithoutAMap) {
   Fixture fx = MakeFixture();
   QueryEngineConfig config;
@@ -206,6 +240,9 @@ TEST(QueryEngineTest, BatchMatchesSerialQueries) {
   }
 }
 
+// Both tier-3 implementations (bitmap AND per itemset, CSR sweep) give
+// the same answers at 1 and 4 pool threads, and those answers match a
+// straight containment count. (SimdDeterminismTest covers kernel ISAs.)
 TEST(QueryEngineTest, BatchIsBitIdenticalAcrossThreadCounts) {
   Fixture fx = MakeFixture();
   QueryEngineConfig config;
@@ -214,21 +251,35 @@ TEST(QueryEngineTest, BatchIsBitIdenticalAcrossThreadCounts) {
   for (ItemId a = 0; a < 25; ++a) {
     queries.push_back({a, static_cast<ItemId>(a + 9),
                        static_cast<ItemId>(a + 21)});
+    queries.push_back({a, static_cast<ItemId>(a + 4)});
   }
 
-  std::vector<std::vector<QueryResult>> runs;
-  for (uint32_t threads : {1u, 4u}) {
-    parallel::SetDefaultThreadCount(threads);
-    QueryEngine engine(&fx.db, &fx.map, config);
-    StatusOr<std::vector<QueryResult>> results = engine.QueryBatch(queries);
-    ASSERT_TRUE(results.ok());
-    runs.push_back(std::move(*results));
-  }
-  parallel::SetDefaultThreadCount(parallel::DefaultThreadCount());
-  ASSERT_EQ(runs[0].size(), runs[1].size());
-  for (size_t i = 0; i < runs[0].size(); ++i) {
-    EXPECT_EQ(runs[0][i].support, runs[1][i].support) << "query " << i;
-    EXPECT_EQ(runs[0][i].tier, runs[1][i].tier) << "query " << i;
+  for (BitmapMode mode : {BitmapMode::kOn, BitmapMode::kOff}) {
+    SCOPED_TRACE(mode == BitmapMode::kOn ? "bitmap" : "csr");
+    config.bitmap_mode = mode;
+    std::vector<std::vector<QueryResult>> runs;
+    for (uint32_t threads : {1u, 4u}) {
+      parallel::SetDefaultThreadCount(threads);
+      QueryEngine engine(&fx.db, &fx.map, config);
+      EXPECT_EQ(engine.uses_bitmap_index(), mode == BitmapMode::kOn);
+      StatusOr<std::vector<QueryResult>> results = engine.QueryBatch(queries);
+      ASSERT_TRUE(results.ok());
+      EXPECT_GT(engine.Stats().exact_counts, 0u);
+      runs.push_back(std::move(*results));
+    }
+    parallel::SetDefaultThreadCount(parallel::DefaultThreadCount());
+    ASSERT_EQ(runs[0].size(), queries.size());
+    ASSERT_EQ(runs[1].size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(runs[0][i].support, runs[1][i].support) << "query " << i;
+      EXPECT_EQ(runs[0][i].tier, runs[1][i].tier) << "query " << i;
+      const uint64_t exact = OracleSupport(fx.db, queries[i]);
+      if (runs[0][i].tier == QueryTier::kBoundReject) {
+        EXPECT_LE(exact, runs[0][i].support) << "query " << i;
+      } else {
+        EXPECT_EQ(runs[0][i].support, exact) << "query " << i;
+      }
+    }
   }
 }
 

@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/ossm_builder.h"
+#include "core/ossm_updater.h"
 #include "datagen/quest_generator.h"
 #include "parallel/thread_pool.h"
 #include "serve/batcher.h"
@@ -367,6 +371,198 @@ TEST(ServeLoopbackTest, MetricsSlowlogAndStatsRoundTrip) {
   EXPECT_EQ(lines[index], "BYE");
   server.Shutdown();
   batcher.Shutdown();
+}
+
+// Tiers 1-2 answer on the event loop: a bound reject, a singleton and a
+// cache hit each come back without the batcher dispatching a wave, and
+// each is already counted in METRICS when its reply has been read.
+TEST(ServeLoopbackTest, ScanFreeQueriesAreAnsweredWithoutAWave) {
+  Fixture fx = MakeFixture();
+  const uint64_t minsup = fx.db.num_transactions() / 20;
+  Itemset reject;
+  Itemset cached;
+  for (ItemId a = 0; a < fx.db.num_items() && (reject.empty() ||
+                                               cached.empty());
+       ++a) {
+    for (ItemId b = a + 1; b < fx.db.num_items(); ++b) {
+      const uint64_t bound = fx.map.UpperBoundPair(a, b);
+      if (reject.empty() && bound < minsup) reject = {a, b};
+      if (cached.empty() && bound >= minsup) cached = {a, b};
+    }
+  }
+  Itemset singleton;
+  for (ItemId a = 0; a < fx.db.num_items() && singleton.empty(); ++a) {
+    if (fx.map.Support(a) >= minsup) singleton = {a};
+  }
+  ASSERT_FALSE(reject.empty());
+  ASSERT_FALSE(cached.empty());
+  ASSERT_FALSE(singleton.empty());
+
+  ServeTelemetry telemetry{ServeTelemetry::Config{}};
+  QueryEngineConfig engine_config;
+  engine_config.min_support = minsup;
+  engine_config.telemetry = &telemetry;
+  QueryEngine engine(&fx.db, &fx.map, engine_config);
+  // Counted straight through the engine, so the socket query below is a
+  // cache hit.
+  ASSERT_TRUE(engine.Query(cached).ok());
+  BatcherConfig batcher_config;
+  batcher_config.telemetry = &telemetry;
+  Batcher batcher(&engine, batcher_config);
+  ServerConfig server_config;
+  server_config.port = 0;
+  server_config.telemetry = &telemetry;
+  SupportServer server(&engine, &batcher, server_config);
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+
+  // Scrapes on its own connection, read to EOF, as Prometheus would.
+  auto scrape = [&] {
+    int admin = ConnectLoopback(server.port());
+    EXPECT_GE(admin, 0);
+    EXPECT_TRUE(SendAll(admin, "METRICS\nQUIT\n"));
+    std::vector<std::string> lines = ReadLines(admin, 100000);
+    ::close(admin);
+    size_t index = 0;
+    return TakeBody(lines, index, "METRICS");
+  };
+  std::vector<std::string> base = scrape();
+  const double base_queries = SeriesValue(base, "ossm_serve_queries_total");
+  const double base_requests =
+      SeriesValue(base, "ossm_serve_request_us_count");
+
+  struct Case {
+    Itemset itemset;
+    std::string reply;
+    const char* tier_series;
+  };
+  const Case cases[] = {
+      {reject, "RJ " + std::to_string(fx.map.UpperBound(reject)),
+       "ossm_serve_bound_rejects_total"},
+      {singleton,
+       "OK " + std::to_string(OracleSupport(fx.db, singleton)) + " singleton",
+       "ossm_serve_singleton_hits_total"},
+      {cached, "OK " + std::to_string(OracleSupport(fx.db, cached)) + " cache",
+       "ossm_serve_cache_hits_total"},
+  };
+  double answered = 0;
+  for (const Case& c : cases) {
+    std::string line = "Q";
+    for (ItemId item : c.itemset) {
+      line += ' ';
+      line += std::to_string(item);
+    }
+    SCOPED_TRACE(line);
+    const double tier_before = SeriesValue(scrape(), c.tier_series);
+    ASSERT_TRUE(SendAll(fd, line + "\n"));
+    std::vector<std::string> reply = ReadLines(fd, 1);
+    ASSERT_EQ(reply.size(), 1u);
+    EXPECT_EQ(reply[0], c.reply);
+    EXPECT_EQ(batcher.batches_dispatched(), 0u);
+    ++answered;
+    std::vector<std::string> metrics = scrape();
+    EXPECT_EQ(SeriesValue(metrics, c.tier_series), tier_before + 1);
+    EXPECT_EQ(SeriesValue(metrics, "ossm_serve_queries_total"),
+              base_queries + answered);
+    EXPECT_EQ(SeriesValue(metrics, "ossm_serve_request_us_count"),
+              base_requests + answered);
+  }
+  EXPECT_EQ(SeriesValue(scrape(), "ossm_serve_batches_total"), 0.0);
+  ::close(fd);
+  server.Shutdown();
+  batcher.Shutdown();
+}
+
+// An OssmUpdater appending through WithMapExclusive while a client streams
+// bound rejects: the loop reads the map under the shared lock, appends only
+// grow Eq. (1), so every reject's bound stays at or above the exact
+// support, and queries the grown bound admits are counted exactly.
+TEST(ServeLoopbackTest, RejectsStaySoundWhileTheMapGrows) {
+  Fixture fx = MakeFixture();
+  const uint64_t minsup = fx.db.num_transactions() / 20;
+  SegmentSupportMap map = fx.map;  // the appends mutate it
+  std::vector<Itemset> rejects;
+  for (ItemId a = 0; a < fx.db.num_items() && rejects.size() < 48; ++a) {
+    for (ItemId b = a + 1; b < fx.db.num_items() && rejects.size() < 48;
+         b += 7) {
+      if (map.UpperBoundPair(a, b) < minsup) rejects.push_back({a, b});
+    }
+  }
+  ASSERT_FALSE(rejects.empty());
+  std::vector<uint64_t> oracle;
+  for (const Itemset& itemset : rejects) {
+    oracle.push_back(OracleSupport(fx.db, itemset));
+  }
+
+  QueryEngineConfig engine_config;
+  engine_config.min_support = minsup;
+  QueryEngine engine(&fx.db, &map, engine_config);
+  Batcher batcher(&engine, BatcherConfig{});
+  ServerConfig server_config;
+  server_config.port = 0;
+  SupportServer server(&engine, &batcher, server_config);
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  std::string round;
+  for (const Itemset& itemset : rejects) {
+    round += "Q " + std::to_string(itemset[0]) + " " +
+             std::to_string(itemset[1]) + "\n";
+  }
+
+  // Incoming pages touch every third item once, so most bounds stay below
+  // minsup for the whole run and the stream stays mostly rejects.
+  std::vector<uint64_t> page_counts(fx.db.num_items(), 0);
+  for (ItemId i = 0; i < fx.db.num_items(); i += 3) page_counts[i] = 1;
+  std::atomic<bool> streaming{true};
+  std::atomic<uint64_t> appends{0};
+  std::atomic<bool> append_failed{false};
+  std::thread writer([&] {
+    OssmUpdater updater(&map);
+    while (streaming.load()) {
+      engine.WithMapExclusive([&](SegmentSupportMap&) {
+        if (!updater.AppendPage(page_counts, AppendPolicy::kRoundRobin).ok()) {
+          append_failed.store(true);
+        }
+      });
+      appends.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+
+  uint64_t reject_replies = 0;
+  // A failed assertion returns from the lambda only, so the writer is
+  // always stopped and joined below.
+  [&] {
+    for (int r = 0; r < 40; ++r) {
+      ASSERT_TRUE(SendAll(fd, round));
+      std::vector<std::string> replies = ReadLines(fd, rejects.size());
+      ASSERT_EQ(replies.size(), rejects.size());
+      for (size_t i = 0; i < rejects.size(); ++i) {
+        const std::string& reply = replies[i];
+        if (reply.rfind("RJ ", 0) == 0) {
+          ++reject_replies;
+          const uint64_t bound = std::stoull(reply.substr(3));
+          EXPECT_LT(bound, minsup) << reply;
+          EXPECT_GE(bound, oracle[i]) << "pair " << i << " -> " << reply;
+        } else {
+          ASSERT_EQ(reply.rfind("OK ", 0), 0u) << reply;
+          EXPECT_EQ(std::stoull(reply.substr(3)), oracle[i])
+              << "pair " << i << " -> " << reply;
+        }
+      }
+    }
+  }();
+  streaming.store(false);
+  writer.join();
+  ::close(fd);
+  server.Shutdown();
+  batcher.Shutdown();
+  EXPECT_FALSE(append_failed.load());
+  EXPECT_GT(appends.load(), 0u);
+  EXPECT_GT(reject_replies, 0u);
 }
 
 // Without a telemetry instance the new verbs answer with empty bodies, and

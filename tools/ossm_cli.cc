@@ -620,9 +620,11 @@ int CmdServe(const Args& args) {
         "      --threshold=FRACTION   minsup fraction for the bound screen\n"
         "      --bind=ADDR --port=N   0 picks an ephemeral port\n"
         "      --port-file=FILE       write the bound port (for scripts)\n"
-        "      --max-batch=N          most queries per wave: whenever the\n"
-        "                             dispatcher is free it takes all that\n"
-        "                             are pending, up to N (no timer)\n"
+        "      --max-batch=N          most exact counts per wave: whenever\n"
+        "                             the dispatcher is free it takes all\n"
+        "                             that are pending, up to N (no timer);\n"
+        "                             bound rejects, singletons and cache\n"
+        "                             hits answer at once, unbatched\n"
         "      --max-queue=N          pending queries before backpressure\n"
         "      --cache-capacity=N --shards=N\n"
         "      --max-connections=N --max-items=N --drain-timeout-ms=N\n"
