@@ -65,28 +65,19 @@ std::vector<Itemset> MakeSweepCandidates(const ParallelSweepConfig& config) {
   return candidates;
 }
 
-// One best-of-repeats timing of the sharded counting pass on `threads`
-// workers; the unit the sweep below and the benchmark above both measure.
-double TimeCountingPass(const TransactionDatabase& db, const HashTree& tree,
-                        uint32_t threads, int repeats) {
-  parallel::ThreadPool pool(threads);
-  uint64_t n = db.num_transactions();
+// One best-of-repeats timing of CountCandidates (tree build plus sharded
+// scan) on `threads` workers; the unit the sweep below and the benchmark
+// above both measure.
+double TimeCountingPass(const TransactionDatabase& db,
+                        std::span<const Itemset> candidates, uint32_t threads,
+                        int repeats) {
+  parallel::SetDefaultThreadCount(threads);
   double best = 1e100;
   for (int r = 0; r < repeats; ++r) {
     WallTimer timer;
-    uint32_t shards = pool.NumShards(0, n);
-    std::vector<HashTree::CountingState> states;
-    states.reserve(shards);
-    for (uint32_t s = 0; s < shards; ++s) {
-      states.push_back(tree.MakeCountingState());
-    }
-    pool.ParallelFor(0, n, [&](uint32_t shard, uint64_t begin, uint64_t end) {
-      HashTree::CountingState& local = states[shard];
-      for (uint64_t t = begin; t < end; ++t) {
-        tree.CountTransaction(db.transaction(t), &local);
-      }
-    });
+    std::vector<uint64_t> counts = CountCandidates(db, candidates);
     double elapsed = timer.ElapsedSeconds();
+    benchmark::DoNotOptimize(counts.data());
     if (elapsed < best) best = elapsed;
   }
   return best;
@@ -218,50 +209,29 @@ void BM_HashTreeCounting(benchmark::State& state) {
     candidates.push_back({std::min(a, b), std::max(a, b)});
   }
 
+  parallel::SetDefaultThreadCount(1);
   for (auto _ : state) {
-    HashTree tree(candidates);
-    for (uint64_t t = 0; t < db->num_transactions(); ++t) {
-      tree.CountTransaction(db->transaction(t));
-    }
-    benchmark::DoNotOptimize(tree.counts().data());
+    std::vector<uint64_t> counts = CountCandidates(*db, candidates);
+    benchmark::DoNotOptimize(counts.data());
   }
   // The quantity Figure 4 links to runtime: candidates counted per scan.
   state.SetItemsProcessed(state.iterations() * num_candidates);
 }
 BENCHMARK(BM_HashTreeCounting)->Arg(100)->Arg(1000)->Arg(10000);
 
-// The Apriori counting pass in isolation: one hash tree, one pass over the
-// database, sharded across `threads` workers with per-shard counting states
-// merged at the barrier. Arg(1) is the serial baseline the speedup targets
-// are measured against.
+// The Apriori counting pass in isolation: CountCandidates over one
+// candidate set, sharded across `threads` workers. Arg(1) is the serial
+// baseline the speedup targets are measured against.
 void BM_ParallelHashTreeCounting(benchmark::State& state) {
-  uint32_t threads = static_cast<uint32_t>(state.range(0));
   ParallelSweepConfig config;
   TransactionDatabase db = MakeSweepDatabase(config);
-  HashTree tree(MakeSweepCandidates(config));
-
-  parallel::ThreadPool pool(threads);
-  uint64_t n = db.num_transactions();
+  std::vector<Itemset> candidates = MakeSweepCandidates(config);
+  parallel::SetDefaultThreadCount(static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
-    uint32_t shards = pool.NumShards(0, n);
-    std::vector<HashTree::CountingState> states;
-    states.reserve(shards);
-    for (uint32_t s = 0; s < shards; ++s) {
-      states.push_back(tree.MakeCountingState());
-    }
-    pool.ParallelFor(0, n, [&](uint32_t shard, uint64_t begin, uint64_t end) {
-      HashTree::CountingState& local = states[shard];
-      for (uint64_t t = begin; t < end; ++t) {
-        tree.CountTransaction(db.transaction(t), &local);
-      }
-    });
-    uint64_t sink = 0;
-    for (const HashTree::CountingState& local : states) {
-      sink += local.counts.empty() ? 0 : local.counts[0];
-    }
-    benchmark::DoNotOptimize(sink);
+    std::vector<uint64_t> counts = CountCandidates(db, candidates);
+    benchmark::DoNotOptimize(counts.data());
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * db.num_transactions());
 }
 BENCHMARK(BM_ParallelHashTreeCounting)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
@@ -273,7 +243,7 @@ BENCHMARK(BM_ParallelHashTreeCounting)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 void WriteParallelSweepJson(const char* path) {
   ParallelSweepConfig config;
   TransactionDatabase db = MakeSweepDatabase(config);
-  HashTree tree(MakeSweepCandidates(config));
+  std::vector<Itemset> candidates = MakeSweepCandidates(config);
 
   obs::RunReport report = obs::MakeRunReport("bench.parallel");
   report.SetWorkload("benchmark", "hash_tree_counting_pass");
@@ -287,7 +257,7 @@ void WriteParallelSweepJson(const char* path) {
 
   double serial_seconds = 0.0;
   for (uint32_t threads : config.thread_counts) {
-    double best = TimeCountingPass(db, tree, threads, config.repeats);
+    double best = TimeCountingPass(db, candidates, threads, config.repeats);
     if (threads == 1) serial_seconds = best;
     report.AddPhaseSeconds("count_pass.t" + std::to_string(threads), best);
     report.AddValue("speedup.t" + std::to_string(threads),

@@ -1,7 +1,6 @@
 #include "mining/apriori.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/timer.h"
 #include "mining/deduction_rules.h"
@@ -9,45 +8,22 @@
 #include "mining/itemset.h"
 #include "mining/miner_metrics.h"
 #include "obs/obs.h"
-#include "parallel/thread_pool.h"
 
 namespace ossm {
 
-uint64_t EffectiveMinSupport(const AprioriConfig& config,
-                             uint64_t num_transactions) {
-  if (config.min_support_count > 0) return config.min_support_count;
-  uint64_t count = static_cast<uint64_t>(
-      std::ceil(config.min_support_fraction *
-                static_cast<double>(num_transactions)));
-  return std::max<uint64_t>(count, 1);
-}
-
-namespace {
-
-Status Validate(const AprioriConfig& config) {
-  if (config.min_support_count == 0 &&
-      (config.min_support_fraction <= 0.0 ||
-       config.min_support_fraction > 1.0)) {
-    return Status::InvalidArgument(
-        "min_support_fraction must be in (0, 1] when no absolute count is "
-        "given");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
                                    const AprioriConfig& config) {
-  OSSM_RETURN_IF_ERROR(Validate(config));
+  StatusOr<uint64_t> threshold =
+      MinSupportCount(config.min_support_fraction, config.min_support_count,
+                      db.num_transactions());
+  if (!threshold.ok()) return threshold.status();
+  uint64_t min_support = *threshold;
   OSSM_TRACE_SPAN("apriori.mine");
 
   MiningResult result;
   {
     ScopedTimer timer(&result.stats.total_seconds);
     MinerMetrics metrics("apriori");
-    uint64_t min_support =
-        EffectiveMinSupport(config, db.num_transactions());
 
     // --- Level 1 ---
     metrics.CandidatesGenerated(1, db.num_items());
@@ -105,12 +81,7 @@ StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
           PruneOutcome outcome =
               config.pruner->EvaluateCandidate(candidate, min_support);
           if (!outcome.admitted) {
-            metrics.PrunedByBound(level);
-            if (outcome.eliminated_by == BoundSource::kNdi) {
-              metrics.EliminatedByNdi(level);
-            } else {
-              metrics.EliminatedByOssm(level);
-            }
+            metrics.Rejected(level, outcome);
           } else if (outcome.interval.Exact()) {
             metrics.DerivedWithoutCounting(level);
             derived.push_back(
@@ -126,46 +97,16 @@ StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
       std::vector<Itemset> next_frequent;
       if (!candidates.empty()) {
         OSSM_TRACE_SPAN("apriori.count_pass");
-        HashTree tree(std::move(candidates), config.hash_tree_fanout,
-                      config.hash_tree_leaf_capacity);
-        uint32_t shards =
-            parallel::NumShards(0, db.num_transactions());
-        if (shards <= 1) {
-          for (uint64_t t = 0; t < db.num_transactions(); ++t) {
-            tree.CountTransaction(db.transaction(t));
-          }
-        } else {
-          // Shard the scan; each shard counts into private state against the
-          // shared (immutable) tree. Merging sums per-candidate counts, so
-          // the totals are bit-identical to the single-threaded scan.
-          std::vector<HashTree::CountingState> states;
-          states.reserve(shards);
-          for (uint32_t s = 0; s < shards; ++s) {
-            states.push_back(tree.MakeCountingState());
-          }
-          parallel::ParallelFor(
-              0, db.num_transactions(),
-              [&](uint32_t shard, uint64_t begin, uint64_t end) {
-                HashTree::CountingState& state = states[shard];
-                for (uint64_t t = begin; t < end; ++t) {
-                  tree.CountTransaction(db.transaction(t), &state);
-                }
-              });
-          for (const HashTree::CountingState& state : states) {
-            tree.MergeCounts(state);
-          }
-        }
+        std::vector<uint64_t> counts = CountCandidates(db, candidates);
         metrics.DatabaseScan();
 
-        for (size_t c = 0; c < tree.num_candidates(); ++c) {
-          if (tree.counts()[c] >= min_support) {
-            result.itemsets.push_back(
-                {tree.candidates()[c], tree.counts()[c]});
-            next_frequent.push_back(tree.candidates()[c]);
+        for (size_t c = 0; c < candidates.size(); ++c) {
+          if (counts[c] >= min_support) {
+            result.itemsets.push_back({candidates[c], counts[c]});
+            next_frequent.push_back(candidates[c]);
             metrics.Frequent(level);
             if (config.pruner != nullptr) {
-              config.pruner->ObserveSupport(tree.candidates()[c],
-                                            tree.counts()[c]);
+              config.pruner->ObserveSupport(candidates[c], counts[c]);
             }
           }
         }

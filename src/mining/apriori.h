@@ -24,25 +24,16 @@ struct AprioriConfig {
   // null. When it supplies exact singleton supports, the level-1 database
   // scan is skipped.
   const CandidatePruner* pruner = nullptr;
-
-  // Hash-tree shape knobs (exposed mainly for benchmarking).
-  uint32_t hash_tree_fanout = 8;
-  uint32_t hash_tree_leaf_capacity = 32;
 };
 
 // Classic Apriori (Agrawal-Srikant): level-wise candidate generation
-// (join + subset prune) and one counting scan per level through a hash
-// tree. With a pruner installed, every generated candidate is first tested
+// (join + subset prune) and one counting scan per level (CountCandidates).
+// With a pruner installed, every generated candidate is first tested
 // against the equation-(1) bound; candidates whose bound is below the
 // threshold never reach the counting pass. Pruning is lossless: the mined
 // patterns are identical with and without a pruner.
 StatusOr<MiningResult> MineApriori(const TransactionDatabase& db,
                                    const AprioriConfig& config);
-
-// The effective absolute threshold for a database of n transactions:
-// max(1, ceil(fraction * n)) or the explicit count.
-uint64_t EffectiveMinSupport(const AprioriConfig& config,
-                             uint64_t num_transactions);
 
 }  // namespace ossm
 

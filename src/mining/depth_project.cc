@@ -1,7 +1,6 @@
 #include "mining/depth_project.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/timer.h"
@@ -11,17 +10,6 @@
 namespace ossm {
 
 namespace {
-
-Status Validate(const DepthProjectConfig& config) {
-  if (config.min_support_count == 0 &&
-      (config.min_support_fraction <= 0.0 ||
-       config.min_support_fraction > 1.0)) {
-    return Status::InvalidArgument(
-        "min_support_fraction must be in (0, 1] when no absolute count is "
-        "given");
-  }
-  return Status::OK();
-}
 
 // Mutable state threaded through the depth-first search.
 struct SearchState {
@@ -63,12 +51,7 @@ void Expand(SearchState& state, Itemset& prefix,
       PruneOutcome outcome =
           state.pruner->EvaluateCandidate(candidate, state.min_support);
       if (!outcome.admitted) {
-        state.metrics->PrunedByBound(next_level);
-        if (outcome.eliminated_by == BoundSource::kNdi) {
-          state.metrics->EliminatedByNdi(next_level);
-        } else {
-          state.metrics->EliminatedByOssm(next_level);
-        }
+        state.metrics->Rejected(next_level, outcome);
         continue;
       }
       if (outcome.interval.Exact()) {
@@ -138,20 +121,17 @@ void Expand(SearchState& state, Itemset& prefix,
 
 StatusOr<MiningResult> MineDepthProject(const TransactionDatabase& db,
                                         const DepthProjectConfig& config) {
-  OSSM_RETURN_IF_ERROR(Validate(config));
+  StatusOr<uint64_t> threshold =
+      MinSupportCount(config.min_support_fraction, config.min_support_count,
+                      db.num_transactions());
+  if (!threshold.ok()) return threshold.status();
+  uint64_t min_support = *threshold;
   OSSM_TRACE_SPAN("depth_project.mine");
 
   MiningResult result;
   {
     ScopedTimer timer(&result.stats.total_seconds);
     MinerMetrics metrics("depth_project");
-    uint64_t min_support = config.min_support_count;
-    if (min_support == 0) {
-      min_support = std::max<uint64_t>(
-          1, static_cast<uint64_t>(
-                 std::ceil(config.min_support_fraction *
-                           static_cast<double>(db.num_transactions()))));
-    }
 
     SearchState state;
     state.db = &db;

@@ -1,11 +1,9 @@
 #include "mining/dhp.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/timer.h"
-#include "mining/apriori.h"
 #include "mining/deduction_rules.h"
 #include "mining/hash_tree.h"
 #include "mining/itemset.h"
@@ -16,20 +14,6 @@
 namespace ossm {
 
 namespace {
-
-Status Validate(const DhpConfig& config) {
-  if (config.min_support_count == 0 &&
-      (config.min_support_fraction <= 0.0 ||
-       config.min_support_fraction > 1.0)) {
-    return Status::InvalidArgument(
-        "min_support_fraction must be in (0, 1] when no absolute count is "
-        "given");
-  }
-  if (config.num_buckets == 0) {
-    return Status::InvalidArgument("num_buckets must be positive");
-  }
-  return Status::OK();
-}
 
 // Bucket hash over a sorted itemset. Any fixed function works; losslessness
 // only needs determinism.
@@ -63,18 +47,20 @@ void HashAllSubsets(std::span<const ItemId> txn, uint32_t k,
 
 StatusOr<MiningResult> MineDhp(const TransactionDatabase& db,
                                const DhpConfig& config) {
-  OSSM_RETURN_IF_ERROR(Validate(config));
+  StatusOr<uint64_t> threshold =
+      MinSupportCount(config.min_support_fraction, config.min_support_count,
+                      db.num_transactions());
+  if (!threshold.ok()) return threshold.status();
+  uint64_t min_support = *threshold;
+  if (config.num_buckets == 0) {
+    return Status::InvalidArgument("num_buckets must be positive");
+  }
   OSSM_TRACE_SPAN("dhp.mine");
 
   MiningResult result;
   {
     ScopedTimer timer(&result.stats.total_seconds);
     MinerMetrics metrics("dhp");
-    AprioriConfig threshold_proxy;
-    threshold_proxy.min_support_fraction = config.min_support_fraction;
-    threshold_proxy.min_support_count = config.min_support_count;
-    uint64_t min_support =
-        EffectiveMinSupport(threshold_proxy, db.num_transactions());
 
     // --- Pass 1: singleton counts + the H2 bucket table ---
     metrics.CandidatesGenerated(1, db.num_items());
@@ -157,12 +143,7 @@ StatusOr<MiningResult> MineDhp(const TransactionDatabase& db,
           PruneOutcome outcome =
               config.pruner->EvaluateCandidate(candidate, min_support);
           if (!outcome.admitted) {
-            metrics.PrunedByBound(level);
-            if (outcome.eliminated_by == BoundSource::kNdi) {
-              metrics.EliminatedByNdi(level);
-            } else {
-              metrics.EliminatedByOssm(level);
-            }
+            metrics.Rejected(level, outcome);
           } else if (outcome.interval.Exact()) {
             metrics.DerivedWithoutCounting(level);
             derived.push_back(
@@ -206,36 +187,34 @@ StatusOr<MiningResult> MineDhp(const TransactionDatabase& db,
       } else {
         OSSM_TRACE_SPAN("dhp.count_pass");
 
-        // --- Counting pass over the working database, with trimming and
-        // the next level's bucket table built on the fly ---
-        HashTree tree(std::move(candidates), config.hash_tree_fanout,
-                      config.hash_tree_leaf_capacity);
-        TransactionDatabase trimmed(db.num_items());
-        std::vector<uint64_t> next_buckets(config.num_buckets, 0);
-
-        // Derived frequent level-itemsets never reach the hash tree, so
-        // their occurrences are invisible to the matched-candidate lists
-        // the trimmer sees. Credit every item with the number of derived
-        // sets containing it — an over-count for transactions that lack
-        // those sets, which only over-keeps items (classic DHP would trim
-        // harder; supports are preserved either way).
+        // Derived frequent level-itemsets are never counted, so their
+        // occurrences are invisible to the matched-candidate lists the
+        // trimmer sees. Credit every item with the number of derived sets
+        // containing it — an over-count for transactions that lack those
+        // sets, which only over-keeps items (classic DHP would trim harder;
+        // supports are preserved either way).
         std::vector<uint32_t> derived_credit(db.num_items(), 0);
         for (const FrequentItemset& d : derived) {
           for (ItemId item : d.items) ++derived_credit[item];
         }
 
-        // Per-shard trimming scratch and outputs. Shards are contiguous
-        // transaction ranges, so concatenating the per-shard trimmed
-        // databases in shard order reproduces the serial trimmed database
-        // exactly; counts and bucket tallies sum-merge.
+        // Per-shard trimming scratch and outputs: the trimmed transactions
+        // and the next level's bucket table, built on the fly.
         struct TrimShard {
-          HashTree::CountingState counts;
           TransactionDatabase trimmed;
           std::vector<uint64_t> buckets;
+          std::vector<uint32_t> occurrence;
+          std::vector<ItemId> kept;
+          std::vector<ItemId> scratch;
 
-          explicit TrimShard(uint32_t num_items, uint32_t num_buckets)
-              : trimmed(num_items), buckets(num_buckets, 0) {}
+          TrimShard(uint32_t num_items, uint32_t num_buckets)
+              : trimmed(num_items),
+                buckets(num_buckets, 0),
+                occurrence(num_items, 0) {}
         };
+        std::vector<TrimShard> trim_shards(
+            parallel::NumShards(0, working.num_transactions()),
+            TrimShard(db.num_items(), config.num_buckets));
 
         // DHP trimming: an item can only contribute to a frequent
         // (level+1)-itemset in this transaction if it occurs in at least
@@ -244,98 +223,60 @@ StatusOr<MiningResult> MineDhp(const TransactionDatabase& db,
         // closure) — counted candidates via `matched`, derived ones via
         // the credit table. The transaction itself is iterated because an
         // item may earn its keep entirely from derived credit.
-        auto trim_transaction = [&](std::span<const ItemId> txn,
-                                    std::span<const uint32_t> matched,
-                                    std::vector<uint32_t>& occurrence,
-                                    std::vector<ItemId>& kept,
-                                    std::vector<ItemId>& scratch,
-                                    TransactionDatabase& out_trimmed,
-                                    std::vector<uint64_t>& out_buckets) {
-          kept.clear();
+        auto trim_transaction = [&](uint32_t shard, uint64_t t,
+                                    std::span<const uint32_t> matched) {
+          TrimShard& out = trim_shards[shard];
+          out.kept.clear();
           for (uint32_t candidate_id : matched) {
-            for (ItemId item : tree.candidates()[candidate_id]) {
-              ++occurrence[item];
+            for (ItemId item : candidates[candidate_id]) {
+              ++out.occurrence[item];
             }
           }
-          for (ItemId item : txn) {
-            if (occurrence[item] + derived_credit[item] >= level) {
-              kept.push_back(item);
+          for (ItemId item : working.transaction(t)) {
+            if (out.occurrence[item] + derived_credit[item] >= level) {
+              out.kept.push_back(item);
             }
           }
           for (uint32_t candidate_id : matched) {
-            for (ItemId item : tree.candidates()[candidate_id]) {
-              occurrence[item] = 0;
+            for (ItemId item : candidates[candidate_id]) {
+              out.occurrence[item] = 0;
             }
           }
           // `kept` inherits the transaction's sorted-unique order.
-          if (kept.size() >= level + 1) {
-            Status append = out_trimmed.Append(std::span<const ItemId>(kept));
+          if (out.kept.size() >= level + 1) {
+            Status append = out.trimmed.Append(out.kept);
             OSSM_CHECK(append.ok()) << append.ToString();
-            scratch.clear();
-            HashAllSubsets(std::span<const ItemId>(out_trimmed.transaction(
-                               out_trimmed.num_transactions() - 1)),
-                           level + 1, scratch, out_buckets,
+            out.scratch.clear();
+            HashAllSubsets(out.kept, level + 1, out.scratch, out.buckets,
                            config.num_buckets, 0);
           }
         };
-
-        uint32_t shards =
-            parallel::NumShards(0, working.num_transactions());
-        if (shards <= 1) {
-          std::vector<uint32_t> matched;
-          std::vector<uint32_t> occurrence(db.num_items(), 0);
-          std::vector<ItemId> kept;
-          std::vector<ItemId> scratch;
-          for (uint64_t t = 0; t < working.num_transactions(); ++t) {
-            tree.CountTransaction(working.transaction(t), &matched);
-            trim_transaction(working.transaction(t), matched, occurrence,
-                             kept, scratch, trimmed, next_buckets);
-          }
-        } else {
-          std::vector<TrimShard> shard_states;
-          shard_states.reserve(shards);
-          for (uint32_t s = 0; s < shards; ++s) {
-            shard_states.emplace_back(db.num_items(), config.num_buckets);
-            shard_states.back().counts = tree.MakeCountingState();
-          }
-          parallel::ParallelFor(
-              0, working.num_transactions(),
-              [&](uint32_t shard, uint64_t begin, uint64_t end) {
-                TrimShard& state = shard_states[shard];
-                std::vector<uint32_t> matched;
-                std::vector<uint32_t> occurrence(db.num_items(), 0);
-                std::vector<ItemId> kept;
-                std::vector<ItemId> scratch;
-                for (uint64_t t = begin; t < end; ++t) {
-                  tree.CountTransaction(working.transaction(t),
-                                        &state.counts, &matched);
-                  trim_transaction(working.transaction(t), matched,
-                                   occurrence, kept, scratch, state.trimmed,
-                                   state.buckets);
-                }
-              });
-          for (const TrimShard& state : shard_states) {
-            tree.MergeCounts(state.counts);
-            for (uint64_t t = 0; t < state.trimmed.num_transactions(); ++t) {
-              Status append = trimmed.Append(state.trimmed.transaction(t));
-              OSSM_CHECK(append.ok()) << append.ToString();
-            }
-            for (uint32_t b = 0; b < config.num_buckets; ++b) {
-              next_buckets[b] += state.buckets[b];
-            }
-          }
-        }
+        std::vector<uint64_t> counts =
+            CountCandidates(working, candidates, trim_transaction);
         metrics.DatabaseScan();
 
-        for (size_t c = 0; c < tree.num_candidates(); ++c) {
-          if (tree.counts()[c] >= min_support) {
-            result.itemsets.push_back(
-                {tree.candidates()[c], tree.counts()[c]});
-            next_frequent.push_back(tree.candidates()[c]);
+        // Shards are contiguous transaction ranges, so concatenating their
+        // trimmed databases in shard order reproduces the serial trimmed
+        // database exactly; bucket tallies sum-merge.
+        TransactionDatabase trimmed(db.num_items());
+        std::vector<uint64_t> next_buckets(config.num_buckets, 0);
+        for (const TrimShard& shard : trim_shards) {
+          for (uint64_t t = 0; t < shard.trimmed.num_transactions(); ++t) {
+            Status append = trimmed.Append(shard.trimmed.transaction(t));
+            OSSM_CHECK(append.ok()) << append.ToString();
+          }
+          for (uint32_t b = 0; b < config.num_buckets; ++b) {
+            next_buckets[b] += shard.buckets[b];
+          }
+        }
+
+        for (size_t c = 0; c < candidates.size(); ++c) {
+          if (counts[c] >= min_support) {
+            result.itemsets.push_back({candidates[c], counts[c]});
+            next_frequent.push_back(candidates[c]);
             metrics.Frequent(level);
             if (config.pruner != nullptr) {
-              config.pruner->ObserveSupport(tree.candidates()[c],
-                                            tree.counts()[c]);
+              config.pruner->ObserveSupport(candidates[c], counts[c]);
             }
           }
         }

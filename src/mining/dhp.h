@@ -30,9 +30,6 @@ struct DhpConfig {
 
   // Optional OSSM pruning, composed with the hash filter. Not owned.
   const CandidatePruner* pruner = nullptr;
-
-  uint32_t hash_tree_fanout = 8;
-  uint32_t hash_tree_leaf_capacity = 32;
 };
 
 // Mines all frequent itemsets. Produces exactly the same patterns as

@@ -1,7 +1,6 @@
 #include "mining/eclat.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/aligned.h"
@@ -15,17 +14,6 @@
 namespace ossm {
 
 namespace {
-
-Status Validate(const EclatConfig& config) {
-  if (config.min_support_count == 0 &&
-      (config.min_support_fraction <= 0.0 ||
-       config.min_support_fraction > 1.0)) {
-    return Status::InvalidArgument(
-        "min_support_fraction must be in (0, 1] when no absolute count is "
-        "given");
-  }
-  return Status::OK();
-}
 
 using TidList = std::vector<uint64_t>;
 
@@ -120,12 +108,7 @@ void ExpandMember(SearchState& state, Itemset& prefix,
       PruneOutcome outcome =
           state.pruner->EvaluateCandidate(candidate, state.min_support);
       if (!outcome.admitted) {
-        state.metrics->PrunedByBound(next_level);
-        if (outcome.eliminated_by == BoundSource::kNdi) {
-          state.metrics->EliminatedByNdi(next_level);
-        } else {
-          state.metrics->EliminatedByOssm(next_level);
-        }
+        state.metrics->Rejected(next_level, outcome);
         continue;
       }
     }
@@ -184,20 +167,17 @@ void Expand(SearchState& state, Itemset& prefix,
 
 StatusOr<MiningResult> MineEclat(const TransactionDatabase& db,
                                  const EclatConfig& config) {
-  OSSM_RETURN_IF_ERROR(Validate(config));
+  StatusOr<uint64_t> threshold =
+      MinSupportCount(config.min_support_fraction, config.min_support_count,
+                      db.num_transactions());
+  if (!threshold.ok()) return threshold.status();
+  uint64_t min_support = *threshold;
   OSSM_TRACE_SPAN("eclat.mine");
 
   MiningResult result;
   {
     ScopedTimer timer(&result.stats.total_seconds);
     MinerMetrics metrics("eclat");
-    uint64_t min_support = config.min_support_count;
-    if (min_support == 0) {
-      min_support = std::max<uint64_t>(
-          1, static_cast<uint64_t>(
-                 std::ceil(config.min_support_fraction *
-                           static_cast<double>(db.num_transactions()))));
-    }
 
     // Pick the covering-set representation. In auto mode, bitmaps win once
     // every surviving tid-list (>= min_support tids at 8 bytes each) costs

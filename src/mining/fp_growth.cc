@@ -1,7 +1,6 @@
 #include "mining/fp_growth.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/timer.h"
@@ -141,26 +140,17 @@ void Grow(const FpTree& tree, std::vector<ItemId>& suffix_ranks,
 
 StatusOr<MiningResult> MineFpGrowth(const TransactionDatabase& db,
                                     const FpGrowthConfig& config) {
-  if (config.min_support_count == 0 &&
-      (config.min_support_fraction <= 0.0 ||
-       config.min_support_fraction > 1.0)) {
-    return Status::InvalidArgument(
-        "min_support_fraction must be in (0, 1] when no absolute count is "
-        "given");
-  }
+  StatusOr<uint64_t> threshold =
+      MinSupportCount(config.min_support_fraction, config.min_support_count,
+                      db.num_transactions());
+  if (!threshold.ok()) return threshold.status();
+  uint64_t min_support = *threshold;
   OSSM_TRACE_SPAN("fp_growth.mine");
 
   MiningResult result;
   {
     ScopedTimer timer(&result.stats.total_seconds);
     MinerMetrics metrics("fp_growth");
-    uint64_t min_support = config.min_support_count;
-    if (min_support == 0) {
-      min_support = std::max<uint64_t>(
-          1, static_cast<uint64_t>(
-                 std::ceil(config.min_support_fraction *
-                           static_cast<double>(db.num_transactions()))));
-    }
 
     // Pass 1: item supports; rank frequent items by descending support.
     std::vector<uint64_t> supports = db.ComputeItemSupports();

@@ -4,15 +4,74 @@
 
 #include "common/logging.h"
 #include "mining/itemset.h"
+#include "parallel/thread_pool.h"
 
 namespace ossm {
 
-HashTree::HashTree(std::vector<Itemset> candidates, uint32_t fanout,
+std::vector<uint64_t> CountCandidates(const TransactionDatabase& db,
+                                      std::span<const Itemset> candidates,
+                                      const MatchVisitor& on_match) {
+  std::vector<uint64_t> counts(candidates.size(), 0);
+  if (candidates.empty() && !on_match) return counts;
+
+  // One tree per run of equal-sized candidates; a tree's ids plus its run's
+  // first position are positions in `candidates`.
+  std::vector<HashTree> trees;
+  std::vector<uint32_t> run_begin;
+  for (size_t i = 0; i < candidates.size();) {
+    size_t j = i + 1;
+    while (j < candidates.size() &&
+           candidates[j].size() == candidates[i].size()) {
+      ++j;
+    }
+    trees.emplace_back(candidates.subspan(i, j - i));
+    run_begin.push_back(static_cast<uint32_t>(i));
+    i = j;
+  }
+
+  // Per-shard state is allocated before forking; pool workers only count.
+  std::vector<std::vector<HashTree::CountingState>> states(
+      parallel::NumShards(0, db.num_transactions()));
+  for (std::vector<HashTree::CountingState>& shard_states : states) {
+    for (const HashTree& tree : trees) {
+      shard_states.push_back(tree.MakeCountingState());
+    }
+  }
+  parallel::ParallelFor(
+      0, db.num_transactions(),
+      [&](uint32_t shard, uint64_t begin, uint64_t end) {
+        std::vector<HashTree::CountingState>& shard_states = states[shard];
+        std::vector<uint32_t> matched;
+        std::vector<uint32_t>* matched_out = on_match ? &matched : nullptr;
+        for (uint64_t t = begin; t < end; ++t) {
+          std::span<const ItemId> txn = db.transaction(t);
+          matched.clear();
+          for (size_t r = 0; r < trees.size(); ++r) {
+            size_t first = matched.size();
+            trees[r].CountTransaction(txn, &shard_states[r], matched_out);
+            for (size_t m = first; m < matched.size(); ++m) {
+              matched[m] += run_begin[r];
+            }
+          }
+          if (on_match) on_match(shard, t, matched);
+        }
+      });
+
+  // Summation commutes, so the totals equal a serial scan's.
+  for (const std::vector<HashTree::CountingState>& shard_states : states) {
+    for (size_t r = 0; r < trees.size(); ++r) {
+      const std::vector<uint64_t>& run = shard_states[r].counts;
+      for (size_t c = 0; c < run.size(); ++c) {
+        counts[run_begin[r] + c] += run[c];
+      }
+    }
+  }
+  return counts;
+}
+
+HashTree::HashTree(std::span<const Itemset> candidates, uint32_t fanout,
                    uint32_t leaf_capacity)
-    : fanout_(fanout),
-      leaf_capacity_(leaf_capacity),
-      candidates_(std::move(candidates)),
-      counts_(candidates_.size(), 0) {
+    : fanout_(fanout), leaf_capacity_(leaf_capacity), candidates_(candidates) {
   OSSM_CHECK_GE(fanout_, 2u);
   OSSM_CHECK_GE(leaf_capacity_, 1u);
   if (!candidates_.empty()) {
@@ -25,7 +84,6 @@ HashTree::HashTree(std::vector<Itemset> candidates, uint32_t fanout,
     OSSM_DCHECK(IsCanonicalItemset(candidates_[id]));
     Insert(0, id);
   }
-  serial_state_.last_visit.assign(nodes_.size(), 0);
 }
 
 void HashTree::Insert(uint32_t node_id, uint32_t candidate_id) {
@@ -71,30 +129,9 @@ HashTree::CountingState HashTree::MakeCountingState() const {
   return state;
 }
 
-void HashTree::MergeCounts(const CountingState& state) {
-  OSSM_CHECK_EQ(state.counts.size(), counts_.size());
-  for (size_t c = 0; c < counts_.size(); ++c) {
-    counts_[c] += state.counts[c];
-  }
-}
-
-void HashTree::CountTransaction(std::span<const ItemId> transaction) {
-  CountTransaction(transaction, nullptr);
-}
-
-void HashTree::CountTransaction(std::span<const ItemId> transaction,
-                                std::vector<uint32_t>* matched) {
-  if (matched != nullptr) matched->clear();
-  if (candidates_.empty() || transaction.size() < candidate_size_) return;
-  ++serial_state_.visit_stamp;
-  Visit(0, transaction, 0, counts_.data(), serial_state_.last_visit.data(),
-        serial_state_.visit_stamp, matched);
-}
-
 void HashTree::CountTransaction(std::span<const ItemId> transaction,
                                 CountingState* state,
                                 std::vector<uint32_t>* matched) const {
-  if (matched != nullptr) matched->clear();
   if (candidates_.empty() || transaction.size() < candidate_size_) return;
   ++state->visit_stamp;
   Visit(0, transaction, 0, state->counts.data(), state->last_visit.data(),

@@ -2,27 +2,50 @@
 #define OSSM_MINING_HASH_TREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "data/item.h"
+#include "data/transaction_database.h"
 
 namespace ossm {
 
-// The Agrawal-Srikant hash tree used to count candidate k-itemsets against
-// transactions. Interior nodes hash on the item at their depth; leaves hold
-// candidate lists that are matched by subset inclusion. Counting cost falls
-// as the candidate set shrinks — which is precisely why the OSSM's
-// candidate pruning translates into runtime speedup: candidates removed
-// before counting never enter the tree.
+// Receives one call per transaction of a CountCandidates scan: the shard
+// that counted it, its index in the database, and the positions (in the
+// candidate span) of the candidates it contains, in no particular order.
+// Calls for different shards run concurrently; calls within a shard come in
+// transaction order, and shards are contiguous transaction ranges in shard
+// order (parallel::ParallelFor), so per-shard outputs concatenated in shard
+// order equal a serial scan's.
+using MatchVisitor = std::function<void(
+    uint32_t shard, uint64_t transaction, std::span<const uint32_t> matched)>;
+
+// The one counting pass every candidate-generation miner runs: the support
+// of each candidate in `db`, in input order. One sharded scan counts every
+// candidate, with one hash tree per run of equal-sized candidates (sort
+// mixed sizes by size first, or each run gets its own small tree). Shards
+// count into private state summed at the barrier, so the counts are
+// bit-identical for any OSSM_THREADS. Candidates must be sorted itemsets.
 //
-// The tree structure is immutable after construction; all counting
-// mutability (candidate counts, the per-leaf visit stamps that prevent
-// double counting) lives in a CountingState. That split is what lets the
-// parallel counting pass share one tree across threads: each shard counts
-// into its own state and the states are merged — by summation, so the
-// merged counts are bit-identical to a single-threaded run no matter how
-// transactions were sharded.
+// The counting structure lives only behind this call, and its cost stays
+// proportional to the candidates counted: a candidate pruned by the Eq. (1)
+// bound never enters the tree, which is what turns OSSM pruning into
+// runtime. A structure whose cost is independent of the candidates (say, a
+// triangular all-pairs array for C2) would erase that effect.
+std::vector<uint64_t> CountCandidates(const TransactionDatabase& db,
+                                      std::span<const Itemset> candidates,
+                                      const MatchVisitor& on_match = {});
+
+// The Agrawal-Srikant hash tree behind CountCandidates. Interior nodes hash
+// on the item at their depth; leaves hold candidate lists that are matched
+// by subset inclusion.
+//
+// The tree is immutable and does not own its candidates: it indexes the
+// span it was built from, which must outlive it. All counting mutability
+// (candidate counts, the per-leaf visit stamps that prevent double
+// counting) lives in a CountingState, so threads can share one tree, each
+// counting into its own state.
 //
 // All candidates must be sorted itemsets of the same size k >= 1.
 class HashTree {
@@ -36,37 +59,20 @@ class HashTree {
     uint64_t visit_stamp = 0;
   };
 
-  // Copies the candidates (ids 0..n-1 in input order). `fanout` is the hash
-  // width of interior nodes; a leaf splits once it exceeds `leaf_capacity`
+  // Candidate ids are positions in `candidates`. `fanout` is the hash width
+  // of interior nodes; a leaf splits once it exceeds `leaf_capacity`
   // entries (unless it is already at depth k, where it grows unbounded).
-  explicit HashTree(std::vector<Itemset> candidates, uint32_t fanout = 8,
+  explicit HashTree(std::span<const Itemset> candidates, uint32_t fanout = 8,
                     uint32_t leaf_capacity = 32);
 
-  // Adds every candidate contained in the (sorted) transaction to its count.
-  void CountTransaction(std::span<const ItemId> transaction);
-
-  // Same, and also appends the ids of the matched candidates to *matched
-  // (cleared first). DHP's transaction trimming needs the per-transaction
-  // match list.
-  void CountTransaction(std::span<const ItemId> transaction,
-                        std::vector<uint32_t>* matched);
-
-  // Concurrent-counting API: counts into `state` instead of the tree's own
-  // counters. Safe to call from many threads at once as long as each thread
-  // owns its state. `matched` (optional) receives matched candidate ids.
   CountingState MakeCountingState() const;
+
+  // Adds every candidate contained in the (sorted) transaction to
+  // `state`'s counts and, when `matched` is given, appends their ids to it.
+  // Safe to call from many threads at once as long as each owns its state.
   void CountTransaction(std::span<const ItemId> transaction,
                         CountingState* state,
                         std::vector<uint32_t>* matched = nullptr) const;
-
-  // Adds a state's counts into the tree's counters. Call once per shard
-  // state, after the counting barrier; summation commutes, so any merge
-  // order yields the single-threaded counts.
-  void MergeCounts(const CountingState& state);
-
-  size_t num_candidates() const { return candidates_.size(); }
-  std::span<const Itemset> candidates() const { return candidates_; }
-  std::span<const uint64_t> counts() const { return counts_; }
 
  private:
   struct Node {
@@ -86,12 +92,8 @@ class HashTree {
   uint32_t fanout_;
   uint32_t leaf_capacity_;
   uint32_t candidate_size_ = 0;
-  std::vector<Itemset> candidates_;
-  std::vector<uint64_t> counts_;
+  std::span<const Itemset> candidates_;
   std::vector<Node> nodes_;
-  // Stamps backing the serial CountTransaction overloads (which add straight
-  // into counts_); its counts vector stays unused.
-  CountingState serial_state_;
 };
 
 }  // namespace ossm

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "mining/candidate_pruner.h"
 #include "obs/obs.h"
 
 namespace ossm {
@@ -15,6 +16,15 @@ LevelStats& MinerMetrics::Level(uint32_t level) {
     levels_.push_back(stats);
   }
   return levels_[level - 1];
+}
+
+void MinerMetrics::Rejected(uint32_t level, const PruneOutcome& outcome) {
+  PrunedByBound(level);
+  if (outcome.eliminated_by == BoundSource::kNdi) {
+    EliminatedByNdi(level);
+  } else {
+    EliminatedByOssm(level);
+  }
 }
 
 void MinerMetrics::MergeFrom(const MinerMetrics& other) {

@@ -11,6 +11,8 @@
 
 namespace ossm {
 
+struct PruneOutcome;
+
 // Per-run accounting recorder shared by every miner. Miners report events
 // through it instead of twiddling LevelStats structs by hand; Finish()
 // folds the run into the MiningResult's stats (keeping the established
@@ -57,6 +59,9 @@ class MinerMetrics {
   void DerivedWithoutCounting(uint32_t level, uint64_t n = 1) {
     Level(level).derived_without_counting += n;
   }
+  // A candidate the pruner did not admit: one pruned_by_bound, attributed
+  // to the decisive bound (eliminated_by_ndi or eliminated_by_ossm).
+  void Rejected(uint32_t level, const PruneOutcome& outcome);
   void DatabaseScan() { ++database_scans_; }
   // Bulk form for miners that fold in sub-runs (e.g. Partition's local
   // Apriori passes).

@@ -1,10 +1,24 @@
 #include "mining/mining_result.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "mining/itemset.h"
 
 namespace ossm {
+
+StatusOr<uint64_t> MinSupportCount(double fraction, uint64_t count,
+                                   uint64_t n) {
+  if (count > 0) return count;
+  // Negated so that NaN, which compares false with everything, fails too.
+  if (!(fraction > 0.0 && fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        "min_support_fraction must be in (0, 1] when no absolute count is "
+        "given");
+  }
+  return std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::ceil(fraction * static_cast<double>(n))));
+}
 
 uint64_t MiningStats::TotalCandidatesGenerated() const {
   uint64_t total = 0;

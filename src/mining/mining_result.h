@@ -4,9 +4,17 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "data/item.h"
 
 namespace ossm {
+
+// The absolute support threshold on a database of `n` transactions: `count`
+// when non-zero, else max(1, ceil(fraction * n)). With no count, a fraction
+// outside (0, 1] — NaN included — is InvalidArgument. Every miner and
+// `ossm_cli serve` take their threshold from here.
+StatusOr<uint64_t> MinSupportCount(double fraction, uint64_t count,
+                                   uint64_t n);
 
 // A frequent itemset with its exact support.
 struct FrequentItemset {

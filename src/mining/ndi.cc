@@ -1,7 +1,6 @@
 #include "mining/ndi.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/timer.h"
@@ -10,41 +9,22 @@
 #include "mining/itemset.h"
 #include "mining/miner_metrics.h"
 #include "obs/obs.h"
-#include "parallel/thread_pool.h"
 
 namespace ossm {
 
-namespace {
-
-Status Validate(const NdiConfig& config) {
-  if (config.min_support_count == 0 &&
-      (config.min_support_fraction <= 0.0 ||
-       config.min_support_fraction > 1.0)) {
-    return Status::InvalidArgument(
-        "min_support_fraction must be in (0, 1] when no absolute count is "
-        "given");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 StatusOr<MiningResult> MineNdi(const TransactionDatabase& db,
                                const NdiConfig& config) {
-  OSSM_RETURN_IF_ERROR(Validate(config));
+  StatusOr<uint64_t> threshold =
+      MinSupportCount(config.min_support_fraction, config.min_support_count,
+                      db.num_transactions());
+  if (!threshold.ok()) return threshold.status();
+  uint64_t min_support = *threshold;
   OSSM_TRACE_SPAN("ndi.mine");
 
   MiningResult result;
   {
     ScopedTimer timer(&result.stats.total_seconds);
     MinerMetrics metrics("ndi");
-    uint64_t min_support = config.min_support_count;
-    if (min_support == 0) {
-      min_support = std::max<uint64_t>(
-          1, static_cast<uint64_t>(
-                 std::ceil(config.min_support_fraction *
-                           static_cast<double>(db.num_transactions()))));
-    }
 
     DeductionRules rules(db.num_transactions(), config.max_depth);
 
@@ -130,43 +110,18 @@ StatusOr<MiningResult> MineNdi(const TransactionDatabase& db,
       metrics.CandidatesCounted(level, countable.size());
       if (countable.empty()) break;
 
-      // Counting pass — same sharded hash-tree scan as Apriori.
-      HashTree tree(std::move(countable), config.hash_tree_fanout,
-                    config.hash_tree_leaf_capacity);
+      std::vector<uint64_t> counts;
       {
         OSSM_TRACE_SPAN("ndi.count_pass");
-        uint32_t shards =
-            parallel::NumShards(0, db.num_transactions());
-        if (shards <= 1) {
-          for (uint64_t t = 0; t < db.num_transactions(); ++t) {
-            tree.CountTransaction(db.transaction(t));
-          }
-        } else {
-          std::vector<HashTree::CountingState> states;
-          states.reserve(shards);
-          for (uint32_t s = 0; s < shards; ++s) {
-            states.push_back(tree.MakeCountingState());
-          }
-          parallel::ParallelFor(
-              0, db.num_transactions(),
-              [&](uint32_t shard, uint64_t begin, uint64_t end) {
-                HashTree::CountingState& state = states[shard];
-                for (uint64_t t = begin; t < end; ++t) {
-                  tree.CountTransaction(db.transaction(t), &state);
-                }
-              });
-          for (const HashTree::CountingState& state : states) {
-            tree.MergeCounts(state);
-          }
-        }
+        counts = CountCandidates(db, countable);
         metrics.DatabaseScan();
       }
 
       std::vector<Itemset> next_extendable;
-      for (size_t c = 0; c < tree.num_candidates(); ++c) {
-        uint64_t support = tree.counts()[c];
+      for (size_t c = 0; c < countable.size(); ++c) {
+        uint64_t support = counts[c];
         if (support < min_support) continue;
-        const Itemset& items = tree.candidates()[c];
+        const Itemset& items = countable[c];
         rules.Record(items, support);
         result.itemsets.push_back({items, support});
         metrics.Frequent(level);

@@ -30,10 +30,6 @@ struct NdiConfig {
   // null. When it supplies exact singleton supports, the level-1 scan is
   // skipped.
   const CandidatePruner* pruner = nullptr;
-
-  // Hash-tree shape knobs (exposed mainly for benchmarking).
-  uint32_t hash_tree_fanout = 8;
-  uint32_t hash_tree_leaf_capacity = 32;
 };
 
 // Calders & Goethals' NDI algorithm: mines the condensed representation of

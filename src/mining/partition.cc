@@ -1,7 +1,6 @@
 #include "mining/partition.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 #include <vector>
 
@@ -21,10 +20,6 @@ namespace {
 
 Status Validate(const PartitionConfig& config,
                 const TransactionDatabase& db) {
-  if (config.min_support_fraction <= 0.0 ||
-      config.min_support_fraction > 1.0) {
-    return Status::InvalidArgument("min_support_fraction must be in (0, 1]");
-  }
   if (config.num_partitions == 0) {
     return Status::InvalidArgument("num_partitions must be positive");
   }
@@ -40,18 +35,18 @@ Status Validate(const PartitionConfig& config,
 StatusOr<MiningResult> MinePartition(const TransactionDatabase& db,
                                      const PartitionConfig& config,
                                      PartitionRunInfo* info) {
+  uint64_t n = db.num_transactions();
+  StatusOr<uint64_t> threshold =
+      MinSupportCount(config.min_support_fraction, 0, n);
+  if (!threshold.ok()) return threshold.status();
   OSSM_RETURN_IF_ERROR(Validate(config, db));
+  uint64_t global_min_support = *threshold;
   OSSM_TRACE_SPAN("partition.mine");
 
   MiningResult result;
   {
     ScopedTimer timer(&result.stats.total_seconds);
     MinerMetrics metrics("partition");
-    uint64_t n = db.num_transactions();
-    uint64_t global_min_support = std::max<uint64_t>(
-        1,
-        static_cast<uint64_t>(
-            std::ceil(config.min_support_fraction * static_cast<double>(n))));
 
     // Phase 1: mine each partition locally; accumulate the candidate union
     // and (optionally) the per-partition OSSMs, whose concatenation is a
@@ -87,17 +82,11 @@ StatusOr<MiningResult> MinePartition(const TransactionDatabase& db,
               OSSM_CHECK(append.ok()) << append.ToString();
             }
 
+            // The fraction applies per partition: an itemset globally
+            // frequent must reach it in at least one partition.
             AprioriConfig local;
-            // ceil(fraction * |partition|): an itemset globally frequent
-            // must reach the fraction in at least one partition.
-            local.min_support_count = std::max<uint64_t>(
-                1,
-                static_cast<uint64_t>(std::ceil(
-                    config.min_support_fraction *
-                    static_cast<double>(part.num_transactions()))));
+            local.min_support_fraction = config.min_support_fraction;
             local.max_level = config.max_level;
-            local.hash_tree_fanout = config.hash_tree_fanout;
-            local.hash_tree_leaf_capacity = config.hash_tree_leaf_capacity;
 
             OssmBuildResult build;
             OssmPruner local_pruner(&build.map);
@@ -188,66 +177,18 @@ StatusOr<MiningResult> MinePartition(const TransactionDatabase& db,
     }
 
     // Phase 2: one counting pass over the whole database for all surviving
-    // global candidates, grouped by size (one hash tree per size).
+    // global candidates. Canonical order sorts by size first, so each size
+    // is one run and gets one hash tree.
     {
       OSSM_TRACE_SPAN("partition.global_count");
       std::sort(candidates.begin(), candidates.end(), ItemsetLess);
-      std::vector<HashTree> trees;
-      for (size_t i = 0; i < candidates.size();) {
-        size_t j = i;
-        while (j < candidates.size() &&
-               candidates[j].size() == candidates[i].size()) {
-          ++j;
-        }
-        trees.emplace_back(
-            std::vector<Itemset>(candidates.begin() + i,
-                                 candidates.begin() + j),
-            config.hash_tree_fanout, config.hash_tree_leaf_capacity);
-        i = j;
-      }
-      uint32_t shards = parallel::NumShards(0, n);
-      if (shards <= 1) {
-        for (uint64_t t = 0; t < n; ++t) {
-          std::span<const ItemId> txn = db.transaction(t);
-          for (HashTree& tree : trees) tree.CountTransaction(txn);
-        }
-      } else {
-        // One private counting state per (shard, tree); sum-merged, so the
-        // global counts match the serial scan bit for bit.
-        std::vector<std::vector<HashTree::CountingState>> states(shards);
-        for (uint32_t s = 0; s < shards; ++s) {
-          states[s].reserve(trees.size());
-          for (const HashTree& tree : trees) {
-            states[s].push_back(tree.MakeCountingState());
-          }
-        }
-        parallel::ParallelFor(
-            0, n, [&](uint32_t shard, uint64_t begin, uint64_t end) {
-              std::vector<HashTree::CountingState>& shard_states =
-                  states[shard];
-              for (uint64_t t = begin; t < end; ++t) {
-                std::span<const ItemId> txn = db.transaction(t);
-                for (size_t k = 0; k < trees.size(); ++k) {
-                  trees[k].CountTransaction(txn, &shard_states[k]);
-                }
-              }
-            });
-        for (uint32_t s = 0; s < shards; ++s) {
-          for (size_t k = 0; k < trees.size(); ++k) {
-            trees[k].MergeCounts(states[s][k]);
-          }
-        }
-      }
+      std::vector<uint64_t> counts = CountCandidates(db, candidates);
       metrics.DatabaseScan();
 
-      for (const HashTree& tree : trees) {
-        for (size_t c = 0; c < tree.num_candidates(); ++c) {
-          if (tree.counts()[c] >= global_min_support) {
-            result.itemsets.push_back(
-                {tree.candidates()[c], tree.counts()[c]});
-            metrics.Frequent(
-                static_cast<uint32_t>(tree.candidates()[c].size()));
-          }
+      for (size_t c = 0; c < candidates.size(); ++c) {
+        if (counts[c] >= global_min_support) {
+          result.itemsets.push_back({candidates[c], counts[c]});
+          metrics.Frequent(static_cast<uint32_t>(candidates[c].size()));
         }
       }
     }

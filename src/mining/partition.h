@@ -32,9 +32,6 @@ struct PartitionConfig {
   bool use_ossm = false;
   uint64_t ossm_segments_per_partition = 10;
   uint64_t transactions_per_page = 100;
-
-  uint32_t hash_tree_fanout = 8;
-  uint32_t hash_tree_leaf_capacity = 32;
 };
 
 // Extra accounting specific to Partition, carried in the MiningResult's

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/ossm_builder.h"
 #include "datagen/quest_generator.h"
 #include "datagen/skewed_generator.h"
@@ -58,14 +60,23 @@ TEST(AprioriTest, FractionalThresholdMatchesAbsolute) {
   EXPECT_TRUE(a->SamePatternsAs(*b));
 }
 
+// The threshold rule every miner shares (MinSupportCount).
 TEST(AprioriTest, EffectiveMinSupportRounding) {
+  EXPECT_EQ(*MinSupportCount(0.01, 0, 1000), 10u);
+  EXPECT_EQ(*MinSupportCount(0.01, 0, 1001), 11u);  // ceil
+  EXPECT_EQ(*MinSupportCount(0.01, 0, 5), 1u);      // floor at 1
+  EXPECT_EQ(*MinSupportCount(1.0, 0, 1000), 1000u);
+  EXPECT_EQ(*MinSupportCount(0.01, 7, 1000), 7u);   // absolute wins
+  EXPECT_EQ(*MinSupportCount(std::nan(""), 7, 1000), 7u);  // fraction unused
+
+  for (double bad : {std::nan(""), 0.0, -1.0, 2.0}) {
+    StatusOr<uint64_t> rejected = MinSupportCount(bad, 0, 1000);
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
   AprioriConfig config;
-  config.min_support_fraction = 0.01;
-  EXPECT_EQ(EffectiveMinSupport(config, 1000), 10u);
-  EXPECT_EQ(EffectiveMinSupport(config, 1001), 11u);  // ceil
-  EXPECT_EQ(EffectiveMinSupport(config, 5), 1u);      // floor at 1
-  config.min_support_count = 7;
-  EXPECT_EQ(EffectiveMinSupport(config, 1000), 7u);   // absolute wins
+  config.min_support_fraction = std::nan("");
+  EXPECT_FALSE(MineApriori(test::TinyDb(), config).ok());
 }
 
 TEST(AprioriTest, MaxLevelStopsEarly) {

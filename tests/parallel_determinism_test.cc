@@ -13,6 +13,7 @@
 #include "mining/dhp.h"
 #include "mining/eclat.h"
 #include "mining/mining_result.h"
+#include "mining/ndi.h"
 #include "mining/partition.h"
 #include "parallel/thread_pool.h"
 
@@ -110,6 +111,23 @@ TEST_F(ParallelDeterminismTest, EclatIsThreadCountInvariant) {
   for (uint32_t threads : kThreadCounts) {
     parallel::SetDefaultThreadCount(threads);
     StatusOr<MiningResult> result = MineEclat(db(), config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result->itemsets.empty());
+    if (threads == 1) {
+      base = std::move(*result);
+    } else {
+      ExpectSameResult(base, *result, threads);
+    }
+  }
+}
+
+TEST_F(ParallelDeterminismTest, NdiIsThreadCountInvariant) {
+  NdiConfig config;
+  config.min_support_fraction = 0.02;
+  MiningResult base;
+  for (uint32_t threads : kThreadCounts) {
+    parallel::SetDefaultThreadCount(threads);
+    StatusOr<MiningResult> result = MineNdi(db(), config);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_FALSE(result->itemsets.empty());
     if (threads == 1) {

@@ -21,7 +21,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -53,6 +52,7 @@
 #include "mining/dhp.h"
 #include "mining/eclat.h"
 #include "mining/fp_growth.h"
+#include "mining/mining_result.h"
 #include "mining/ndi.h"
 #include "mining/partition.h"
 #include "serve/batcher.h"
@@ -636,6 +636,9 @@ int CmdServe(const Args& args) {
   }
   StatusOr<TransactionDatabase> db = LoadDataset(args.GetRequired("data"));
   if (!db.ok()) return Fail(db.status());
+  StatusOr<uint64_t> min_support = MinSupportCount(
+      args.GetDouble("threshold", 0.01), 0, db->num_transactions());
+  if (!min_support.ok()) return Fail(min_support.status());
 
   SegmentSupportMap map;
   bool has_map = args.Has("ossm");
@@ -654,10 +657,7 @@ int CmdServe(const Args& args) {
   serve::ServeTelemetry telemetry;
 
   serve::QueryEngineConfig engine_config;
-  double threshold = args.GetDouble("threshold", 0.01);
-  engine_config.min_support = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(
-             threshold * static_cast<double>(db->num_transactions()))));
+  engine_config.min_support = *min_support;
   engine_config.cache_capacity = args.GetInt("cache-capacity", 1 << 16);
   engine_config.cache_shards =
       static_cast<uint32_t>(args.GetInt("shards", 16));
