@@ -6,8 +6,9 @@
 // In both, n_user = 40 segments (Section 6.3).
 //
 // Columns beyond the paper's two: "ossub evals" is the deterministic cost
-// measure (each evaluation is the O(m^2) kernel; the paper's complexity
-// analysis counts exactly these), and "C2 counted" is the deterministic
+// measure (the paper's complexity analysis counts exactly these and prices
+// each at m(m-1)/2 item pairs; the closed form of core/ossub.h evaluates
+// one with a sort of m sums), and "C2 counted" is the deterministic
 // quality measure (fraction of candidate 2-itemsets the OSSM failed to
 // prune; lower is better).
 //

@@ -31,7 +31,6 @@ using kernels::KernelOps;
 struct Workload {
   AlignedVector<uint64_t> a;
   AlignedVector<uint64_t> b;
-  AlignedVector<uint64_t> merged;
   AlignedVector<uint64_t> out;
 };
 
@@ -40,12 +39,10 @@ Workload MakeWorkload(size_t n, uint64_t seed) {
   Workload w;
   w.a.resize(n);
   w.b.resize(n);
-  w.merged.resize(n);
   w.out.resize(n, 0);
   for (size_t i = 0; i < n; ++i) {
     w.a[i] = rng.Next();
     w.b[i] = rng.Next();
-    w.merged[i] = w.a[i] + w.b[i];
   }
   return w;
 }
@@ -106,16 +103,6 @@ const KernelCase kCases[] = {
     {"sum", 8.0,
      [](const KernelOps& ops, Workload& w) {
        return ops.sum(w.a.data(), w.a.size());
-     }},
-    {"add", 24.0,
-     [](const KernelOps& ops, Workload& w) {
-       ops.add(w.a.data(), w.b.data(), w.out.data(), w.a.size());
-       return w.out[0];
-     }},
-    {"pair_loss_row", 24.0,
-     [](const KernelOps& ops, Workload& w) {
-       return ops.pair_loss_row(w.a[0], w.b[0], w.a.data(), w.b.data(),
-                                w.merged.data(), w.a.size());
      }},
     {"and_popcount", 16.0,
      [](const KernelOps& ops, Workload& w) {

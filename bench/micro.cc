@@ -144,7 +144,9 @@ void BM_PairwiseOssub(benchmark::State& state) {
     sink += PairwiseOssub(a, b);
   }
   benchmark::DoNotOptimize(sink);
-  // Work is m^2/2 pair evaluations per call.
+  // Items are the m(m-1)/2 item pairs one evaluation covers — the paper's
+  // cost unit. The closed form reaches them through three sorts of m
+  // counts, not a loop over the pairs.
   state.SetItemsProcessed(state.iterations() * num_items * (num_items - 1) /
                           2);
 }

@@ -13,8 +13,11 @@ namespace ossm {
 // matters for items whose support is near the mining threshold — the ones
 // "on the bubble" — because pruning decisions for items far above or far
 // below the threshold do not depend on how tight the bound is. Restricting
-// the ossub summation of equation (2) to pairs of bubble items removes the
-// m^2 factor from Greedy and RC.
+// the ossub summation of equation (2) to pairs of bubble items makes the
+// segmenters minimize the loss on those items alone. The paper also counts
+// it as a speedup, m^2 -> B^2 item pairs per evaluation; with the closed
+// form of core/ossub.h that saving is m log m -> B log B, so the list is
+// mainly a quality knob: it picks which items' loss counts.
 //
 // The list is built against one support threshold but the resulting OSSM
 // remains usable at any threshold (evaluated in Figure 6, where segmentation

@@ -153,7 +153,18 @@ StatusOr<std::vector<Segment>> GreedySegmenter::Run(
 
   MergeHeap heap(n);
 
-  // Step 1 of Figure 2: all initial pairs. The O(P^2) PairwiseOssub pass is
+  // S(s) of every segment (see core/ossub.h), so that each evaluation sorts
+  // only the merged counts. Refreshed for the segment a merge grows.
+  std::vector<uint64_t> pair_mins(n);
+  for (uint32_t s = 0; s < n; ++s) {
+    pair_mins[s] = PairMinSum(segments[s].counts, bubble);
+  }
+  auto loss_between = [&](uint32_t a, uint32_t b) {
+    return PairwiseOssub(segments[a].counts, pair_mins[a], segments[b].counts,
+                         pair_mins[b], bubble);
+  };
+
+  // Step 1 of Figure 2: all initial pairs. The O(P^2) evaluation pass is
   // sharded by row; per-row entry vectors are concatenated in row order, and
   // the heap's total order makes even that order immaterial.
   {
@@ -162,8 +173,7 @@ StatusOr<std::vector<Segment>> GreedySegmenter::Run(
     if (parallel::NumShards(0, n) <= 1) {
       for (uint32_t a = 0; a < n; ++a) {
         for (uint32_t b = a + 1; b < n; ++b) {
-          uint64_t loss = PairwiseOssub(segments[a], segments[b], bubble);
-          entries.push_back({loss, a, b, 0, 0});
+          entries.push_back({loss_between(a, b), a, b, 0, 0});
         }
       }
     } else {
@@ -175,9 +185,7 @@ StatusOr<std::vector<Segment>> GreedySegmenter::Run(
         row.reserve(n - a - 1);
         uint32_t a32 = static_cast<uint32_t>(a);
         for (uint32_t b = a32 + 1; b < n; ++b) {
-          uint64_t loss =
-              PairwiseOssub(segments[a32], segments[b], bubble);
-          row.push_back({loss, a32, b, 0, 0});
+          row.push_back({loss_between(a32, b), a32, b, 0, 0});
         }
       });
       for (std::vector<MergeCandidate>& row : rows) {
@@ -223,6 +231,7 @@ StatusOr<std::vector<Segment>> GreedySegmenter::Run(
     heap.InvalidateSegment(top.seg_a);
     --alive;
     if (alive <= options.target_segments) break;
+    pair_mins[top.seg_a] = PairMinSum(segments[top.seg_a].counts, bubble);
 
     // Step 6: fresh losses between the merged segment and every survivor.
     // The evaluations are independent; shard them, then push in survivor
@@ -237,8 +246,7 @@ StatusOr<std::vector<Segment>> GreedySegmenter::Run(
         0, survivors.size(),
         [&](uint32_t /*shard*/, uint64_t begin, uint64_t end) {
           for (uint64_t i = begin; i < end; ++i) {
-            losses[i] = PairwiseOssub(segments[top.seg_a],
-                                      segments[survivors[i]], bubble);
+            losses[i] = loss_between(top.seg_a, survivors[i]);
           }
         });
     evaluations += survivors.size();

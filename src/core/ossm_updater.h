@@ -22,7 +22,7 @@ namespace ossm {
 // fixed while its counts stay exact for singletons.
 enum class AppendPolicy {
   kRoundRobin,   // O(1) per page; the Random analogue
-  kClosestFit,   // O(n m^2) per page; the RC/Greedy analogue
+  kClosestFit,   // O(n m log m) per page; the RC/Greedy analogue
 };
 
 // Concurrency / consistency contract: the updater itself is

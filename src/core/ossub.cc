@@ -3,122 +3,78 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/logging.h"
-#include "kernels/kernels.h"
 
 namespace ossm {
 
 namespace {
 
-// loss for one item pair across two segments:
-//   min(ax+bx, ay+by) - min(ax, ay) - min(bx, by)
-// Non-negative by the triangle-like property shown in Section 4.2.
-inline uint64_t PairLoss(uint64_t ax, uint64_t bx, uint64_t ay, uint64_t by) {
-  uint64_t merged = std::min(ax + bx, ay + by);
-  uint64_t kept = std::min(ax, ay) + std::min(bx, by);
-  return merged - kept;
-}
-
-// Dense pair loop over contiguous count runs. The merged row a[i]+b[i] is
-// precomputed once (it is re-read m times, once per pivot), then each pivot
-// folds its whole tail with one PairLossRow kernel call. The regrouping of
-// min(ax+bx, ay+by) - (min(ax,ay) + min(bx,by)) into three row reductions
-// is exact mod 2^64, so the result is bit-identical to the naive pair loop.
-uint64_t DensePairwiseOssub(const uint64_t* a, const uint64_t* b, size_t m) {
-  thread_local AlignedVector<uint64_t> merged;
-  merged.resize(m);
-  kernels::AddU64(a, b, merged.data(), m);
-  uint64_t total = 0;
-  for (size_t x = 0; x + 1 < m; ++x) {
-    total += kernels::PairLossRow(a[x], b[x], a + x + 1, b + x + 1,
-                                  merged.data() + x + 1, m - x - 1);
+// S over value(item) for the summed items: gathered into a per-thread row,
+// sorted, and each value weighted by the number of values after it.
+template <typename Value>
+uint64_t GatherPairMinSum(size_t m, std::span<const ItemId> bubble,
+                          const Value& value) {
+  thread_local std::vector<uint64_t> row;
+  if (bubble.empty()) {
+    row.resize(m);
+    for (size_t i = 0; i < m; ++i) row[i] = value(i);
+  } else {
+    row.resize(bubble.size());
+    for (size_t j = 0; j < bubble.size(); ++j) row[j] = value(bubble[j]);
   }
+  std::sort(row.begin(), row.end());
+  uint64_t total = 0;
+  uint64_t later = row.size();
+  for (uint64_t v : row) total += v * --later;
   return total;
 }
 
 }  // namespace
 
+uint64_t PairMinSum(std::span<const uint64_t> counts,
+                    std::span<const ItemId> bubble) {
+  return GatherPairMinSum(counts.size(), bubble,
+                          [&](size_t i) { return counts[i]; });
+}
+
 uint64_t PairwiseOssub(std::span<const uint64_t> a,
                        std::span<const uint64_t> b,
                        std::span<const ItemId> bubble) {
+  return PairwiseOssub(a, PairMinSum(a, bubble), b, PairMinSum(b, bubble),
+                       bubble);
+}
+
+uint64_t PairwiseOssub(std::span<const uint64_t> a, uint64_t a_pair_mins,
+                       std::span<const uint64_t> b, uint64_t b_pair_mins,
+                       std::span<const ItemId> bubble) {
   OSSM_CHECK_EQ(a.size(), b.size());
-  if (bubble.empty()) {
-    return DensePairwiseOssub(a.data(), b.data(), a.size());
-  }
-  // Bubble lists are short by construction (Section 5.3), so the gathered
-  // pair loop stays scalar.
-  uint64_t total = 0;
-  for (size_t i = 0; i < bubble.size(); ++i) {
-    ItemId x = bubble[i];
-    uint64_t ax = a[x];
-    uint64_t bx = b[x];
-    for (size_t j = i + 1; j < bubble.size(); ++j) {
-      ItemId y = bubble[j];
-      total += PairLoss(ax, bx, a[y], b[y]);
-    }
-  }
-  return total;
+  uint64_t merged = GatherPairMinSum(
+      a.size(), bubble, [&](size_t i) { return a[i] + b[i]; });
+  return merged - a_pair_mins - b_pair_mins;
 }
 
 uint64_t PairwiseOssub(const StridedCounts& a, std::span<const uint64_t> b,
                        std::span<const ItemId> bubble) {
   OSSM_CHECK_EQ(a.size, b.size());
-  if (bubble.empty()) {
-    // Pack the column once — O(m) against the O(m^2) pair work — so the
-    // dense path runs on contiguous memory instead of strided gathers.
-    thread_local AlignedVector<uint64_t> packed;
-    packed.resize(a.size);
-    for (size_t i = 0; i < a.size; ++i) packed[i] = a[i];
-    return DensePairwiseOssub(packed.data(), b.data(), a.size);
-  }
-  uint64_t total = 0;
-  for (size_t i = 0; i < bubble.size(); ++i) {
-    ItemId x = bubble[i];
-    uint64_t ax = a[x];
-    uint64_t bx = b[x];
-    for (size_t j = i + 1; j < bubble.size(); ++j) {
-      ItemId y = bubble[j];
-      total += PairLoss(ax, bx, a[y], b[y]);
-    }
-  }
-  return total;
+  uint64_t merged = GatherPairMinSum(
+      a.size, bubble, [&](size_t i) { return a[i] + b[i]; });
+  uint64_t a_pair_mins =
+      GatherPairMinSum(a.size, bubble, [&](size_t i) { return a[i]; });
+  return merged - a_pair_mins - PairMinSum(b, bubble);
 }
 
 uint64_t Ossub(std::span<const Segment> segments,
                std::span<const ItemId> bubble) {
   OSSM_CHECK_GE(segments.size(), 2u);
   size_t m = segments[0].counts.size();
-
-  // Merged totals per item.
   std::vector<uint64_t> merged(m, 0);
+  uint64_t kept = 0;
   for (const Segment& seg : segments) {
     OSSM_CHECK_EQ(seg.counts.size(), m);
     for (size_t i = 0; i < m; ++i) merged[i] += seg.counts[i];
+    kept += PairMinSum(seg.counts, bubble);
   }
-
-  auto loss_for_pair = [&](ItemId x, ItemId y) {
-    uint64_t merged_bound = std::min(merged[x], merged[y]);
-    uint64_t kept_bound = 0;
-    for (const Segment& seg : segments) {
-      kept_bound += std::min(seg.counts[x], seg.counts[y]);
-    }
-    return merged_bound - kept_bound;
-  };
-
-  uint64_t total = 0;
-  if (bubble.empty()) {
-    for (ItemId x = 0; x < m; ++x) {
-      for (ItemId y = x + 1; y < m; ++y) total += loss_for_pair(x, y);
-    }
-  } else {
-    for (size_t i = 0; i < bubble.size(); ++i) {
-      for (size_t j = i + 1; j < bubble.size(); ++j) {
-        total += loss_for_pair(bubble[i], bubble[j]);
-      }
-    }
-  }
-  return total;
+  return PairMinSum(merged, bubble) - kept;
 }
 
 }  // namespace ossm

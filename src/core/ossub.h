@@ -19,13 +19,44 @@ namespace ossm {
 // Lemma 2: ossub is zero iff all segments share a configuration, is strictly
 // positive otherwise, and is monotone under taking supersets of A.
 //
+// Closed form. For a count vector v let
+//
+//   S(v) = sum_{x<y} min(v_x, v_y) = sum_i v_(i) * (n - 1 - i),
+//
+// where v_(0) <= ... <= v_(n-1) are the n summed counts sorted ascending:
+// each count is the minimum of its pairs with every later one. The merged
+// bound sums the pair minima of the summed counts, the kept bound those of
+// each segment, so
+//
+//   ossub(A) = S(sum of A) - sum_{s in A} S(s).
+//
+// One evaluation is a gather and a sort: O(m log m), not the pair loop's
+// O(m^2). The identity holds over the integers and so mod 2^64: results are
+// bit-identical to the pair loop for every uint64_t input, wrapped merged
+// counts included.
+//
 // If `bubble` is non-empty, the summation is restricted to pairs of items in
-// the bubble list (Section 5.3), cutting the m^2 factor down to |bubble|^2.
+// the bubble list (Section 5.3), which cuts the cost to
+// O(|bubble| log |bubble|). Pairs are taken over list positions, exactly
+// as a pair loop over the list would: the list's order does not matter,
+// and an item listed twice counts its pairs with the other items twice
+// (its pair with itself adds zero).
 
-// Pairwise ossub between two segments — the kernel both Greedy and RC spend
-// all their time in. O(m^2), or O(|bubble|^2) with a bubble list.
+// S(counts) over the bubble items (every item if `bubble` is empty).
+uint64_t PairMinSum(std::span<const uint64_t> counts,
+                    std::span<const ItemId> bubble = {});
+
+// Pairwise ossub between two segments — the quantity Greedy, RC and the
+// updater's closest fit minimize. Three sorts.
 uint64_t PairwiseOssub(std::span<const uint64_t> a,
                        std::span<const uint64_t> b,
+                       std::span<const ItemId> bubble = {});
+
+// Pairwise ossub for callers that keep each segment's S: `a_pair_mins` and
+// `b_pair_mins` must be PairMinSum(a, bubble) and PairMinSum(b, bubble).
+// One sort, of the merged counts.
+uint64_t PairwiseOssub(std::span<const uint64_t> a, uint64_t a_pair_mins,
+                       std::span<const uint64_t> b, uint64_t b_pair_mins,
                        std::span<const ItemId> bubble = {});
 
 // A per-item count vector viewed through a stride: element i lives at
@@ -53,7 +84,7 @@ inline uint64_t PairwiseOssub(const Segment& a, const Segment& b,
 }
 
 // General form over k >= 2 segments (used by tests and the theory module;
-// the heuristics only ever need the pairwise kernel).
+// the heuristics only ever need the pairwise form).
 uint64_t Ossub(std::span<const Segment> segments,
                std::span<const ItemId> bubble = {});
 

@@ -19,8 +19,14 @@ StatusOr<std::vector<Segment>> RcSegmenter::Run(
   Rng rng(options.seed);
   std::span<const ItemId> bubble(options.bubble);
 
-  // Live segments are kept compact by swap-with-last on removal.
+  // Live segments are kept compact by swap-with-last on removal;
+  // pair_mins[s] is S(live[s]) (see core/ossub.h) and moves with it.
   std::vector<Segment> live = std::move(initial);
+  std::vector<uint64_t> pair_mins;
+  pair_mins.reserve(live.size());
+  for (const Segment& seg : live) {
+    pair_mins.push_back(PairMinSum(seg.counts, bubble));
+  }
 
   while (live.size() > options.target_segments) {
     size_t a = static_cast<size_t>(rng.UniformInt(live.size()));
@@ -30,7 +36,8 @@ StatusOr<std::vector<Segment>> RcSegmenter::Run(
     uint64_t best_loss = UINT64_MAX;
     for (size_t b = 0; b < live.size(); ++b) {
       if (b == a) continue;
-      uint64_t loss = PairwiseOssub(live[a], live[b], bubble);
+      uint64_t loss = PairwiseOssub(live[a].counts, pair_mins[a],
+                                    live[b].counts, pair_mins[b], bubble);
       ++evaluations;
       if (loss < best_loss) {
         best_loss = loss;
@@ -39,8 +46,13 @@ StatusOr<std::vector<Segment>> RcSegmenter::Run(
     }
 
     MergeSegmentInto(live[a], std::move(live[best]));
-    if (best != live.size() - 1) live[best] = std::move(live.back());
+    pair_mins[a] = PairMinSum(live[a].counts, bubble);
+    if (best != live.size() - 1) {
+      live[best] = std::move(live.back());
+      pair_mins[best] = pair_mins.back();
+    }
     live.pop_back();
+    pair_mins.pop_back();
   }
 
   OSSM_COUNTER_ADD("segment.ossub_evaluations", evaluations);

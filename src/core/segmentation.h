@@ -29,7 +29,9 @@ struct SegmentationOptions {
 struct SegmentationStats {
   double seconds = 0.0;
   // How many pairwise ossub evaluations were performed — the paper's cost
-  // model counts exactly these (each is O(m^2) or O(|bubble|^2)).
+  // model counts exactly these. The paper prices each at O(m^2) item pairs
+  // (O(|bubble|^2) with a bubble list); the closed form of core/ossub.h
+  // evaluates one in O(m log m) (O(|bubble| log |bubble|)).
   uint64_t ossub_evaluations = 0;
   // How many times Greedy's lazy-deletion heap was compacted (stale-entry
   // eviction; always 0 for the other segmenters).

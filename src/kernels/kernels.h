@@ -12,9 +12,9 @@ namespace ossm {
 namespace kernels {
 
 // Runtime-dispatched integer kernels behind every hot loop in the library:
-// the equation-(1) min-sum bound (SegmentSupportMap), the pairwise-ossub
-// loss (Greedy/RC/hybrid segmentation, OssmUpdater closest-fit), and
-// AND+popcount containment counting (BitmapIndex, Eclat, QueryEngine).
+// the equation-(1) min-sum bound (SegmentSupportMap) and AND+popcount
+// containment counting (BitmapIndex, Eclat, QueryEngine). The equation-(2)
+// loss needs none: its closed form (core/ossub.h) is a sort.
 //
 // Every kernel is an exact integer reduction — min, add, popcount — over
 // uint64_t, with all additions wrapping mod 2^64 exactly as a scalar loop
@@ -45,14 +45,6 @@ struct KernelOps {
   void (*min_accumulate)(uint64_t* acc, const uint64_t* row, size_t n);
   // sum_i v[i] (mod 2^64).
   uint64_t (*sum)(const uint64_t* v, size_t n);
-  // out[i] = a[i] + b[i] (mod 2^64); out may alias a or b.
-  void (*add)(const uint64_t* a, const uint64_t* b, uint64_t* out, size_t n);
-  // sum_i [min(ax+bx, merged[i]) - min(ax, a[i]) - min(bx, b[i])] where
-  // merged[i] = a[i] + b[i] (caller-precomputed, mod 2^64) — the inner row
-  // of the pairwise-ossub loss for a fixed pivot item (ax, bx).
-  uint64_t (*pair_loss_row)(uint64_t ax, uint64_t bx, const uint64_t* a,
-                            const uint64_t* b, const uint64_t* merged,
-                            size_t n);
   // popcount(a AND b) over nwords 64-bit words — pair intersection size.
   uint64_t (*and_popcount)(const uint64_t* a, const uint64_t* b,
                            size_t nwords);
@@ -103,15 +95,6 @@ inline void MinAccumulateU64(uint64_t* acc, const uint64_t* row, size_t n) {
 }
 inline uint64_t SumU64(const uint64_t* v, size_t n) {
   return Active().sum(v, n);
-}
-inline void AddU64(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                   size_t n) {
-  Active().add(a, b, out, n);
-}
-inline uint64_t PairLossRow(uint64_t ax, uint64_t bx, const uint64_t* a,
-                            const uint64_t* b, const uint64_t* merged,
-                            size_t n) {
-  return Active().pair_loss_row(ax, bx, a, b, merged, n);
 }
 inline uint64_t AndPopcount(const uint64_t* a, const uint64_t* b,
                             size_t nwords) {

@@ -97,52 +97,6 @@ uint64_t SumAvx2(const uint64_t* v, size_t n) {
   return total;
 }
 
-void AddAvx2(const uint64_t* a, const uint64_t* b, uint64_t* out, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_add_epi64(va, vb));
-  }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-uint64_t PairLossRowAvx2(uint64_t ax, uint64_t bx, const uint64_t* a,
-                         const uint64_t* b, const uint64_t* merged,
-                         size_t n) {
-  uint64_t mx = ax + bx;
-  __m256i vmx = _mm256_set1_epi64x(static_cast<long long>(mx));
-  __m256i vax = _mm256_set1_epi64x(static_cast<long long>(ax));
-  __m256i vbx = _mm256_set1_epi64x(static_cast<long long>(bx));
-  __m256i merged_acc = _mm256_setzero_si256();
-  __m256i kept_a_acc = _mm256_setzero_si256();
-  __m256i kept_b_acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i vm =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(merged + i));
-    __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    merged_acc = _mm256_add_epi64(merged_acc, MinEpu64(vmx, vm));
-    kept_a_acc = _mm256_add_epi64(kept_a_acc, MinEpu64(vax, va));
-    kept_b_acc = _mm256_add_epi64(kept_b_acc, MinEpu64(vbx, vb));
-  }
-  uint64_t merged_sum = HorizontalSum(merged_acc);
-  uint64_t kept_a = HorizontalSum(kept_a_acc);
-  uint64_t kept_b = HorizontalSum(kept_b_acc);
-  for (; i < n; ++i) {
-    merged_sum += mx < merged[i] ? mx : merged[i];
-    kept_a += ax < a[i] ? ax : a[i];
-    kept_b += bx < b[i] ? bx : b[i];
-  }
-  return merged_sum - kept_a - kept_b;
-}
-
 // Per-word popcount of four 64-bit lanes via the classic nibble lookup
 // (Mula): split each byte into nibbles, look both up in a 16-entry table,
 // then _mm256_sad_epu8 folds the per-byte counts into per-lane u64 sums.
@@ -217,9 +171,8 @@ uint64_t PopcountAvx2(const uint64_t* v, size_t nwords) {
 
 const KernelOps& Avx2Ops() {
   static const KernelOps ops = {
-      MinSumAvx2,     MinAccumulateAvx2, SumAvx2,
-      AddAvx2,        PairLossRowAvx2,   AndPopcountAvx2,
-      AndCountAvx2,   PopcountAvx2,
+      MinSumAvx2,      MinAccumulateAvx2, SumAvx2,
+      AndPopcountAvx2, AndCountAvx2,      PopcountAvx2,
   };
   return ops;
 }

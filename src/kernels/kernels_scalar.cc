@@ -29,29 +29,6 @@ uint64_t SumScalar(const uint64_t* v, size_t n) {
   return total;
 }
 
-void AddScalar(const uint64_t* a, const uint64_t* b, uint64_t* out,
-               size_t n) {
-  for (size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-uint64_t PairLossRowScalar(uint64_t ax, uint64_t bx, const uint64_t* a,
-                           const uint64_t* b, const uint64_t* merged,
-                           size_t n) {
-  // Per element: min(mx, merged[i]) - min(ax, a[i]) - min(bx, b[i]). The
-  // three partial sums are accumulated separately and combined at the end;
-  // mod-2^64 addition makes that identical to summing per-element losses.
-  uint64_t mx = ax + bx;
-  uint64_t merged_sum = 0;
-  uint64_t kept_a = 0;
-  uint64_t kept_b = 0;
-  for (size_t i = 0; i < n; ++i) {
-    merged_sum += mx < merged[i] ? mx : merged[i];
-    kept_a += ax < a[i] ? ax : a[i];
-    kept_b += bx < b[i] ? bx : b[i];
-  }
-  return merged_sum - kept_a - kept_b;
-}
-
 uint64_t AndPopcountScalar(const uint64_t* a, const uint64_t* b,
                            size_t nwords) {
   uint64_t total = 0;
@@ -84,9 +61,8 @@ uint64_t PopcountScalar(const uint64_t* v, size_t nwords) {
 
 const KernelOps& ScalarOps() {
   static const KernelOps ops = {
-      MinSumScalar,     MinAccumulateScalar, SumScalar,
-      AddScalar,        PairLossRowScalar,   AndPopcountScalar,
-      AndCountScalar,   PopcountScalar,
+      MinSumScalar,      MinAccumulateScalar, SumScalar,
+      AndPopcountScalar, AndCountScalar,      PopcountScalar,
   };
   return ops;
 }

@@ -18,21 +18,13 @@ Itemset Difference(const Itemset& full, const Itemset& part) {
   return result;
 }
 
-// Sorted union of two disjoint sorted sets.
-Itemset Union(const Itemset& a, const Itemset& b) {
-  Itemset result;
-  result.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(result));
-  return result;
-}
-
 }  // namespace
 
 StatusOr<std::vector<AssociationRule>> GenerateRules(
     const std::vector<FrequentItemset>& frequent, uint64_t num_transactions,
     const RuleConfig& config) {
-  if (config.min_confidence < 0.0 || config.min_confidence > 1.0) {
+  // Negated so that NaN, which compares false with everything, fails too.
+  if (!(config.min_confidence >= 0.0 && config.min_confidence <= 1.0)) {
     return Status::InvalidArgument("min_confidence must be in [0, 1]");
   }
   if (num_transactions == 0) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "datagen/quest_generator.h"
 #include "mining/apriori.h"
 #include "tests/mining_test_util.h"
@@ -163,6 +165,14 @@ TEST(AssociationRulesTest, MaxConsequentSizeRespected) {
 TEST(AssociationRulesTest, RejectsBadConfidence) {
   RuleConfig config;
   config.min_confidence = 1.5;
+  EXPECT_EQ(GenerateRules(TinyFrequent(), 8, config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(AssociationRulesTest, RejectsNanConfidence) {
+  // NaN passes a plain `< 0 || > 1` range check and would keep every rule.
+  RuleConfig config;
+  config.min_confidence = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(GenerateRules(TinyFrequent(), 8, config).status().code(),
             StatusCode::kInvalidArgument);
 }

@@ -47,19 +47,6 @@ uint64_t RefMinSum(const std::vector<uint64_t>& a,
   return total;
 }
 
-uint64_t RefPairLossRow(uint64_t ax, uint64_t bx,
-                        const std::vector<uint64_t>& a,
-                        const std::vector<uint64_t>& b) {
-  uint64_t mx = ax + bx;
-  uint64_t total = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    total += std::min(mx, a[i] + b[i]);
-    total -= std::min(ax, a[i]);
-    total -= std::min(bx, b[i]);
-  }
-  return total;
-}
-
 class KernelsDifferentialTest : public ::testing::TestWithParam<Isa> {};
 
 // Every kernel at every supported level must agree bit-for-bit with the
@@ -84,24 +71,6 @@ TEST_P(KernelsDifferentialTest, MatchesReferenceOnRandomInputs) {
       uint64_t ref_sum = 0;
       for (uint64_t v : a) ref_sum += v;
       EXPECT_EQ(ops.sum(a.data(), n), ref_sum);
-
-      std::vector<uint64_t> out(n, 0);
-      ops.add(a.data(), b.data(), out.data(), n);
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(out[i], a[i] + b[i]);
-      }
-      // Aliased form (out == a), as PairwiseOssub's merged row uses it.
-      std::vector<uint64_t> aliased = a;
-      ops.add(aliased.data(), b.data(), aliased.data(), n);
-      EXPECT_EQ(aliased, out);
-
-      uint64_t ax = n == 0 ? 7 : a[rng.UniformInt(n)];
-      uint64_t bx = rng.Next();
-      std::vector<uint64_t> merged(n);
-      for (size_t i = 0; i < n; ++i) merged[i] = a[i] + b[i];
-      EXPECT_EQ(ops.pair_loss_row(ax, bx, a.data(), b.data(), merged.data(),
-                                  n),
-                RefPairLossRow(ax, bx, a, b));
 
       uint64_t ref_and = 0;
       uint64_t ref_pop = 0;
@@ -152,11 +121,9 @@ TEST(KernelsTest, ZeroLengthRunsAreSafeOnNullPointers) {
     const KernelOps& ops = OpsFor(isa);
     EXPECT_EQ(ops.min_sum(nullptr, nullptr, 0), 0u);
     EXPECT_EQ(ops.sum(nullptr, 0), 0u);
-    EXPECT_EQ(ops.pair_loss_row(1, 2, nullptr, nullptr, nullptr, 0), 0u);
     EXPECT_EQ(ops.and_popcount(nullptr, nullptr, 0), 0u);
     EXPECT_EQ(ops.popcount(nullptr, 0), 0u);
     ops.min_accumulate(nullptr, nullptr, 0);
-    ops.add(nullptr, nullptr, nullptr, 0);
     EXPECT_EQ(ops.and_count(nullptr, nullptr, nullptr, 0), 0u);
   }
 }

@@ -126,8 +126,8 @@ TEST(OssmBuilderTest, BubbleFractionSpeedsUpGreedy) {
   StatusOr<OssmBuildResult> bubbled_result = BuildOssm(db, bubbled);
   ASSERT_TRUE(full_result.ok());
   ASSERT_TRUE(bubbled_result.ok());
-  // Same number of ossub evaluations, but each is ~(0.1 m)^2 instead of
-  // m^2; wall time must drop noticeably on any machine.
+  // Same number of ossub evaluations, but each sorts ~0.1 m sums instead
+  // of m; wall time must drop noticeably on any machine.
   EXPECT_EQ(bubbled_result->map.num_segments(), 5u);
   EXPECT_LT(bubbled_result->stats.seconds, full_result->stats.seconds);
 }

@@ -2,11 +2,65 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "core/ossub.h"
 #include "core/random_segmentation.h"
 #include "tests/segmentation_test_util.h"
 
 namespace ossm {
 namespace {
+
+// Straight-line reference for RcSegmenter: the same random picks and
+// swap-with-last removal, but every loss evaluated from scratch — no S
+// kept per segment.
+std::vector<Segment> ReferenceRc(std::vector<Segment> live,
+                                 const SegmentationOptions& options) {
+  Rng rng(options.seed);
+  while (live.size() > options.target_segments) {
+    size_t a = static_cast<size_t>(rng.UniformInt(live.size()));
+    size_t best = SIZE_MAX;
+    uint64_t best_loss = UINT64_MAX;
+    for (size_t b = 0; b < live.size(); ++b) {
+      if (b == a) continue;
+      uint64_t loss = PairwiseOssub(live[a], live[b], options.bubble);
+      if (loss < best_loss) {
+        best_loss = loss;
+        best = b;
+      }
+    }
+    MergeSegmentInto(live[a], std::move(live[best]));
+    if (best != live.size() - 1) live[best] = std::move(live.back());
+    live.pop_back();
+  }
+  return live;
+}
+
+TEST(RcSegmentationTest, MatchesStraightLineReference) {
+  for (const std::vector<ItemId>& bubble :
+       {std::vector<ItemId>{}, std::vector<ItemId>{0, 2, 3, 6}}) {
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      SegmentationOptions options;
+      options.target_segments = 4;
+      options.bubble = bubble;
+      options.seed = seed;
+      std::vector<Segment> expected =
+          ReferenceRc(test::RandomSegments(seed, 30, 8), options);
+      RcSegmenter segmenter;
+      StatusOr<std::vector<Segment>> result =
+          segmenter.Run(test::RandomSegments(seed, 30, 8), options, nullptr);
+      ASSERT_TRUE(result.ok());
+      ASSERT_EQ(result->size(), expected.size());
+      for (size_t s = 0; s < expected.size(); ++s) {
+        EXPECT_EQ((*result)[s].counts, expected[s].counts)
+            << "seed " << seed << " bubble " << bubble.size() << " segment "
+            << s;
+        EXPECT_EQ((*result)[s].pages, expected[s].pages)
+            << "seed " << seed << " bubble " << bubble.size() << " segment "
+            << s;
+      }
+    }
+  }
+}
 
 TEST(RcSegmentationTest, ReachesTargetCount) {
   RcSegmenter segmenter;

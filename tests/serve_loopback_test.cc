@@ -533,10 +533,20 @@ TEST(ServeLoopbackTest, RejectsStaySoundWhileTheMapGrows) {
   });
 
   uint64_t reject_replies = 0;
-  // A failed assertion returns from the lambda only, so the writer is
-  // always stopped and joined below.
+  // The race only happens once appends land between rounds: wait for the
+  // writer's first append before round 0, then stream at least 40 rounds
+  // and until kMinAppends appends have landed. A failed assertion returns
+  // from the lambda only, so the writer is always stopped and joined below.
+  constexpr uint64_t kMinAppends = 10;
   [&] {
-    for (int r = 0; r < 40; ++r) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (appends.load() == 0) {
+      ASSERT_TRUE(std::chrono::steady_clock::now() < deadline)
+          << "the writer never appended";
+      std::this_thread::yield();
+    }
+    for (int r = 0; r < 40 || appends.load() < kMinAppends; ++r) {
       ASSERT_TRUE(SendAll(fd, round));
       std::vector<std::string> replies = ReadLines(fd, rejects.size());
       ASSERT_EQ(replies.size(), rejects.size());

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -90,15 +91,25 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
+  // Numeric values must parse in full: --threshold=0.02abc or --port=abc
+  // exits 2 instead of running at 0.02 or binding port 0.
   uint64_t GetInt(const std::string& key, uint64_t fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    uint64_t value = std::strtoull(it->second.c_str(), &end, 10);
+    CheckParsed(key, it->second, end);
+    return value;
   }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    double value = std::strtod(it->second.c_str(), &end);
+    CheckParsed(key, it->second, end);
+    return value;
   }
   std::string GetRequired(const std::string& key) const {
     auto it = values_.find(key);
@@ -110,6 +121,17 @@ class Args {
   }
 
  private:
+  static void CheckParsed(const std::string& key, const std::string& text,
+                          const char* end) {
+    if (end != text.c_str() && *end == '\0' && errno != ERANGE) return;
+    std::fprintf(stderr, "error: %s\n",
+                 Status::InvalidArgument("--" + key + "=" + text +
+                                         " is not a number")
+                     .ToString()
+                     .c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
