@@ -8,6 +8,7 @@
 // thread pool (OSSM_THREADS; set OSSM_THREADS=1 for the paper's exact
 // one-core 2002 conditions — results are bit-identical either way).
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -70,9 +71,20 @@ class Flags {
     return fallback;
   }
 
+  // The value must parse in full: --transactions=2k or --repeats=abc exits
+  // 2 naming the flag instead of running at 2 or 0.
   uint64_t GetInt(const std::string& key, uint64_t fallback) const {
     for (const auto& [k, v] : values_) {
-      if (k == key) return std::strtoull(v.c_str(), nullptr, 10);
+      if (k != key) continue;
+      char* end = nullptr;
+      errno = 0;
+      uint64_t value = std::strtoull(v.c_str(), &end, 10);
+      if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr, "error: --%s=%s is not a number\n", key.c_str(),
+                     v.c_str());
+        std::exit(2);
+      }
+      return value;
     }
     return fallback;
   }

@@ -50,10 +50,11 @@ std::unique_ptr<Segmenter> MakeSegmenter(SegmentationAlgorithm algorithm,
 
 StatusOr<OssmBuildResult> BuildOssm(const TransactionDatabase& db,
                                     const OssmBuildOptions& options) {
-  if (options.bubble_fraction < 0.0 || options.bubble_fraction > 1.0) {
+  // Negated so NaN fails too.
+  if (!(options.bubble_fraction >= 0.0 && options.bubble_fraction <= 1.0)) {
     return Status::InvalidArgument("bubble_fraction must be in [0, 1]");
   }
-  if (options.bubble_threshold < 0.0 || options.bubble_threshold > 1.0) {
+  if (!(options.bubble_threshold >= 0.0 && options.bubble_threshold <= 1.0)) {
     return Status::InvalidArgument("bubble_threshold must be in [0, 1]");
   }
   OSSM_TRACE_SPAN("ossm.build");

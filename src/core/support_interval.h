@@ -27,11 +27,6 @@ struct SupportInterval {
     return lower <= support && support <= upper;
   }
 
-  // Width of the interval (UINT64_MAX when unbounded above).
-  uint64_t Width() const {
-    return upper == UINT64_MAX ? UINT64_MAX : upper - lower;
-  }
-
   // The intersection of two sound intervals is sound (and never empty for
   // intervals that both contain the true support).
   static SupportInterval Intersect(const SupportInterval& a,

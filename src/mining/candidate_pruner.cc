@@ -1,34 +1,8 @@
 #include "mining/candidate_pruner.h"
 
-#include <string>
-
 #include "common/logging.h"
-#include "obs/obs.h"
 
 namespace ossm {
-
-bool CandidatePruner::Admits(std::span<const ItemId> itemset,
-                             uint64_t min_support) const {
-  return EvaluateCandidate(itemset, min_support).admitted;
-}
-
-PruneOutcome CandidatePruner::EvaluateCandidate(
-    std::span<const ItemId> itemset, uint64_t min_support) const {
-  PruneOutcome outcome = Evaluate(itemset, min_support);
-  if (obs::MetricsEnabled()) {
-    std::call_once(counters_once_, [this] {
-      std::string prefix = "pruner.";
-      prefix += name();
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      evaluations_counter_ =
-          &registry.GetCounter(prefix + ".bound_evaluations");
-      pruned_counter_ = &registry.GetCounter(prefix + ".pruned");
-    });
-    evaluations_counter_->Add(1);
-    if (!outcome.admitted) pruned_counter_->Add(1);
-  }
-  return outcome;
-}
 
 OssmPruner::OssmPruner(const SegmentSupportMap* map) : map_(map) {
   OSSM_CHECK(map_ != nullptr);

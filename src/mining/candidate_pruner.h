@@ -2,7 +2,6 @@
 #define OSSM_MINING_CANDIDATE_PRUNER_H_
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string_view>
 
@@ -12,10 +11,6 @@
 #include "data/item.h"
 
 namespace ossm {
-
-namespace obs {
-class Counter;
-}  // namespace obs
 
 // Which bound source decided a candidate's fate. Single-bound pruners report
 // a constant; the CombinedPruner attributes each rejection to the cheapest
@@ -49,15 +44,7 @@ struct PruneOutcome {
 // Evaluate() and receive exact supports back through ObserveSupport().
 class CandidatePruner {
  public:
-  CandidatePruner() = default;
   virtual ~CandidatePruner() = default;
-
-  // The counter handles are just caches of stable registry references, so a
-  // copy may start unresolved and re-resolve lazily — it lands on the same
-  // registry entries. Explicit because std::once_flag is not copyable; each
-  // copy gets a fresh flag.
-  CandidatePruner(const CandidatePruner&) {}
-  CandidatePruner& operator=(const CandidatePruner&) { return *this; }
 
   virtual std::string_view name() const = 0;
 
@@ -74,6 +61,8 @@ class CandidatePruner {
 
   // Full per-candidate verdict: interval, admission, and attribution.
   // Single-upper-bound pruners attribute every rejection to the OSSM side.
+  // Miners call this once per candidate and tally the verdict per level in
+  // MinerMetrics; the pruner itself keeps no tallies.
   virtual PruneOutcome Evaluate(std::span<const ItemId> itemset,
                                 uint64_t min_support) const {
     PruneOutcome outcome;
@@ -86,10 +75,10 @@ class CandidatePruner {
   // Exact-support feedback: miners call this as supports become exactly
   // known (level-1 singletons, each level's counted or derived frequent
   // itemsets), letting deduction-rule pruners tighten later bounds. Default
-  // ignores it. Contract: ObserveSupport must not race Evaluate/Admits —
-  // miners observe from the coordinating thread at level barriers, never
-  // from inside a parallel counting pass. Concurrent Evaluate/Admits calls
-  // (e.g. Eclat's per-class workers) are fine: they are read-only.
+  // ignores it. Contract: ObserveSupport must not race Evaluate — miners
+  // observe from the coordinating thread at level barriers, never from
+  // inside a parallel counting pass. Concurrent Evaluate calls (e.g.
+  // Eclat's per-class workers) are fine: they are read-only.
   virtual void ObserveSupport(std::span<const ItemId> /*itemset*/,
                               uint64_t /*support*/) const {}
 
@@ -98,27 +87,6 @@ class CandidatePruner {
   virtual std::span<const uint64_t> ExactSingletonSupports() const {
     return {};
   }
-
-  // Bound-checks one candidate against a miner's threshold: true when the
-  // candidate survives (UpperBound >= min_support). This is the entry point
-  // miners call — with OSSM_METRICS active it counts bound evaluations and
-  // prune hits per pruner ("pruner.<name>.bound_evaluations" / ".pruned").
-  bool Admits(std::span<const ItemId> itemset, uint64_t min_support) const;
-
-  // Interval-aware entry point with the same instrumentation as Admits.
-  // Miners that can exploit lower bounds (derived candidates) call this.
-  PruneOutcome EvaluateCandidate(std::span<const ItemId> itemset,
-                                 uint64_t min_support) const;
-
- private:
-  // Instrument handles, resolved exactly once on the first instrumented
-  // Admits call. std::call_once both serializes the resolution and
-  // publishes the stores, so concurrent Admits callers from pool workers
-  // never observe one handle set and the other still null (the race the
-  // old check-then-store dance had).
-  mutable std::once_flag counters_once_;
-  mutable obs::Counter* evaluations_counter_ = nullptr;
-  mutable obs::Counter* pruned_counter_ = nullptr;
 };
 
 // No pruning: every bound is "unknown". Baseline ("without the OSSM").

@@ -49,7 +49,7 @@ void Expand(SearchState& state, Itemset& prefix,
     if (state.pruner != nullptr) {
       candidate.back() = e;
       PruneOutcome outcome =
-          state.pruner->EvaluateCandidate(candidate, state.min_support);
+          state.pruner->Evaluate(candidate, state.min_support);
       if (!outcome.admitted) {
         state.metrics->Rejected(next_level, outcome);
         continue;

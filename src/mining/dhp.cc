@@ -141,7 +141,7 @@ StatusOr<MiningResult> MineDhp(const TransactionDatabase& db,
         survivors.reserve(candidates.size());
         for (Itemset& candidate : candidates) {
           PruneOutcome outcome =
-              config.pruner->EvaluateCandidate(candidate, min_support);
+              config.pruner->Evaluate(candidate, min_support);
           if (!outcome.admitted) {
             metrics.Rejected(level, outcome);
           } else if (outcome.interval.Exact()) {

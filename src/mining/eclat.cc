@@ -106,7 +106,7 @@ void ExpandMember(SearchState& state, Itemset& prefix,
       candidate = prefix;
       candidate.push_back(members[j].item);
       PruneOutcome outcome =
-          state.pruner->EvaluateCandidate(candidate, state.min_support);
+          state.pruner->Evaluate(candidate, state.min_support);
       if (!outcome.admitted) {
         state.metrics->Rejected(next_level, outcome);
         continue;

@@ -67,10 +67,6 @@ class MinerMetrics {
   // Apriori passes).
   void DatabaseScans(uint64_t n) { database_scans_ += n; }
 
-  uint64_t FrequentAt(uint32_t level) {
-    return Level(level).frequent;
-  }
-
   // Folds another recorder's per-level tallies and scan count into this
   // one. Parallel miners record into per-shard recorders and merge them in
   // shard order at the barrier; since all tallies are sums, the merged

@@ -38,7 +38,7 @@ struct LevelStats {
   // Attribution of pruned_by_bound between bound sources, plus candidates
   // whose support the deduction rules pinned exactly (lower == upper) so no
   // counting pass ever touched them. eliminated_by_ossm + eliminated_by_ndi
-  // == pruned_by_bound for miners wired through EvaluateCandidate.
+  // == pruned_by_bound for miners wired through CandidatePruner::Evaluate.
   uint64_t eliminated_by_ossm = 0;       // equation-(1) bound was decisive
   uint64_t eliminated_by_ndi = 0;        // deduction rule caught what OSSM missed
   uint64_t derived_without_counting = 0; // exact support deduced, scan skipped

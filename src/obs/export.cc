@@ -158,62 +158,12 @@ void WriteMetricsJsonObject(const MetricsSnapshot& snapshot, std::ostream& os,
     first = false;
   }
   if (!first) os << "\n" << pad << "  ";
-  os << "},\n" << pad << "  \"spans\": {";
-
-  first = true;
-  for (const auto& [name, h] : snapshot.histograms) {
-    if (!name.starts_with(kSpanPrefix)) continue;
-    os << (first ? "\n" : ",\n") << pad << "    \""
-       << JsonEscape(name.substr(kSpanPrefix.size()))
-       << "\": {\"count\": " << FormatUint(h.count)
-       << ", \"total_us\": " << FormatUint(h.sum)
-       << ", \"p50_us\": " << FormatQuantile(h.p50)
-       << ", \"p95_us\": " << FormatQuantile(h.p95)
-       << ", \"p99_us\": " << FormatQuantile(h.p99)
-       << ", \"max_us\": " << FormatUint(h.max) << "}";
-    first = false;
-  }
-  if (!first) os << "\n" << pad << "  ";
   os << "}\n" << pad << "}";
 }
 
 void WriteJsonReport(const MetricsSnapshot& snapshot, std::ostream& os) {
   WriteMetricsJsonObject(snapshot, os, 0);
   os << "\n";
-}
-
-std::string PrometheusName(std::string_view name) {
-  std::string out = "ossm_";
-  out.reserve(out.size() + name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-void WritePrometheusReport(const MetricsSnapshot& snapshot,
-                           std::ostream& os) {
-  for (const auto& [name, value] : snapshot.counters) {
-    const std::string prom = PrometheusName(name) + "_total";
-    os << "# TYPE " << prom << " counter\n"
-       << prom << " " << FormatUint(value) << "\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string prom = PrometheusName(name);
-    os << "# TYPE " << prom << " gauge\n"
-       << prom << " " << FormatInt(value) << "\n";
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    const std::string prom = PrometheusName(name);
-    os << "# TYPE " << prom << " summary\n"
-       << prom << "{quantile=\"0.5\"} " << FormatQuantile(h.p50) << "\n"
-       << prom << "{quantile=\"0.95\"} " << FormatQuantile(h.p95) << "\n"
-       << prom << "{quantile=\"0.99\"} " << FormatQuantile(h.p99) << "\n"
-       << prom << "_sum " << FormatUint(h.sum) << "\n"
-       << prom << "_count " << FormatUint(h.count) << "\n";
-  }
 }
 
 void WriteChromeTrace(std::span<const TraceEvent> events, std::ostream& os) {

@@ -17,30 +17,17 @@ void WriteTextReport(const MetricsSnapshot& snapshot, std::ostream& os);
 // Machine-readable report:
 //   {"counters": {name: value, ...},
 //    "gauges": {name: value, ...},
-//    "histograms": {name: {"count","sum","min","max","p50","p95","p99"}},
-//    "spans": {name: {"count","total_us","p50_us","p95_us","p99_us","max_us"}}}
-// "spans" re-exposes the "span."-prefixed histograms under their span names
-// so consumers (the BENCH_*.json trajectory) need no naming convention.
+//    "histograms": {name: {"count","sum","min","max","p50","p95","p99"}}}
+// A trace span's durations (microseconds) are the "span.<name>" histogram;
+// they are written once, there.
 void WriteJsonReport(const MetricsSnapshot& snapshot, std::ostream& os);
 
-// Writes the metrics object ({"counters": ..., ..., "spans": ...}) without
-// a trailing newline, every line after the first prefixed by `indent`
-// spaces. WriteJsonReport is this at indent 0; RunReport embeds it nested.
+// Writes the metrics object ({"counters": ..., "gauges": ...,
+// "histograms": ...}) without a trailing newline, every line after the
+// first prefixed by `indent` spaces. WriteJsonReport is this at indent 0;
+// RunReport embeds it nested.
 void WriteMetricsJsonObject(const MetricsSnapshot& snapshot, std::ostream& os,
                             int indent);
-
-// Prometheus text exposition (version 0.0.4 — the format every scraper
-// accepts). Counters become `ossm_<name>_total` counter families, gauges
-// `ossm_<name>` gauge families, histograms `ossm_<name>` summaries with
-// quantile="0.5|0.95|0.99" series plus _sum/_count. Metric names are
-// sanitized with PrometheusName. Every family gets a # TYPE line; output
-// ends with a newline as the format requires.
-void WritePrometheusReport(const MetricsSnapshot& snapshot, std::ostream& os);
-
-// Maps an instrument name onto the Prometheus metric-name alphabet
-// [a-zA-Z0-9_:] and prefixes "ossm_": "serve.tier.exact_us" ->
-// "ossm_serve_tier_exact_us".
-std::string PrometheusName(std::string_view name);
 
 // Chrome trace-event JSON — load the file in chrome://tracing or Perfetto.
 // Span events are emitted as complete ("ph":"X") slices; flow events as

@@ -56,25 +56,6 @@ void HdrSnapshot::SubtractBaseline(const HdrSnapshot& earlier) {
   sum_ -= std::min(sum_, earlier.sum_);
 }
 
-uint64_t HdrSnapshot::MinBound() const {
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] != 0) return HdrBucketLayout::BucketLower(i);
-  }
-  return 0;
-}
-
-uint64_t HdrSnapshot::MaxBound() const {
-  for (size_t i = buckets_.size(); i-- > 0;) {
-    if (buckets_[i] != 0) return HdrBucketLayout::BucketUpper(i);
-  }
-  return 0;
-}
-
-double HdrSnapshot::Mean() const {
-  return count_ == 0 ? 0.0
-                     : static_cast<double>(sum_) / static_cast<double>(count_);
-}
-
 namespace {
 
 // Shared by live and snapshot percentiles. `Buckets` needs operator[]

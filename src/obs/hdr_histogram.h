@@ -10,11 +10,11 @@ namespace obs {
 
 // Log-linear ("HDR-style") bucket layout over non-negative integers: every
 // power-of-two range is subdivided into 32 linear sub-buckets, so the
-// relative bucket resolution is at most 1/32 (~3.1%) at any magnitude —
-// versus the ~2x (100%) resolution of the plain power-of-two Histogram.
-// That is what makes p99s of microsecond latencies meaningful: a tail
-// estimate is always within one sub-bucket of the exact sorted-sample
-// percentile (see PercentileErrorBound()).
+// relative bucket resolution is at most 1/32 (~3.1%) at any magnitude,
+// where plain power-of-two buckets would be off by up to 2x. That is what
+// makes p99s of microsecond latencies meaningful: a tail estimate is
+// always within one sub-bucket of the exact sorted-sample percentile (see
+// PercentileErrorBound()).
 //
 // Layout (kSubBucketBits = 5, kSubBuckets = 32):
 //   - values 0..31 get one bucket each (exact);
@@ -58,14 +58,6 @@ class HdrSnapshot {
   uint64_t count() const { return count_; }
   uint64_t sum() const { return sum_; }
   bool empty() const { return count_ == 0; }
-  // Tightest bounds the buckets support: the lower bound of the first
-  // occupied bucket / upper bound of the last. (Exact min/max are not
-  // recoverable after subtraction, so snapshots only promise bucket
-  // resolution.) 0 / 0 when empty.
-  uint64_t MinBound() const;
-  uint64_t MaxBound() const;
-  // Mean of the recorded samples; 0 when empty.
-  double Mean() const;
 
   // The p-quantile (p in [0, 1]) under the sorted-sample convention
   // (rank ceil(p*n), 1-based, clamped to [1, n]): samples inside the
@@ -87,11 +79,12 @@ class HdrSnapshot {
   uint64_t sum_ = 0;
 };
 
-// The live, concurrent histogram: Record is a handful of relaxed atomic
-// operations (same hot-path budget as the plain Histogram), so it is safe
-// on serving paths under full concurrency. Reads (Snapshot/Percentile) are
-// wait-free walks over the atomics; a snapshot taken concurrently with
-// writers is a consistent-enough view (each bucket is read once).
+// The live, concurrent histogram, and the one histogram type the metrics
+// registry hands out: Record is a handful of relaxed atomic operations, so
+// it is safe on serving paths under full concurrency. Reads
+// (Snapshot/Percentile) are wait-free walks over the atomics; a snapshot
+// taken concurrently with writers is a consistent-enough view (each bucket
+// is read once).
 class HdrHistogram {
  public:
   HdrHistogram();

@@ -1,87 +1,7 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
-
 namespace ossm {
 namespace obs {
-
-namespace {
-
-// Lower/upper sample bounds of bucket i: bucket 0 is {0}, bucket i >= 1
-// covers [2^(i-1), 2^i - 1].
-uint64_t BucketLower(int i) { return i == 0 ? 0 : uint64_t{1} << (i - 1); }
-uint64_t BucketUpper(int i) {
-  if (i == 0) return 0;
-  if (i == Histogram::kNumBuckets - 1) return UINT64_MAX;
-  return (uint64_t{1} << i) - 1;
-}
-
-template <typename T>
-void AtomicStoreMin(std::atomic<T>& target, T value) {
-  T current = target.load(std::memory_order_relaxed);
-  while (value < current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-template <typename T>
-void AtomicStoreMax(std::atomic<T>& target, T value) {
-  T current = target.load(std::memory_order_relaxed);
-  while (value > current &&
-         !target.compare_exchange_weak(current, value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-void Histogram::Record(uint64_t sample) {
-  buckets_[std::bit_width(sample)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(sample, std::memory_order_relaxed);
-  AtomicStoreMin(min_, sample);
-  AtomicStoreMax(max_, sample);
-}
-
-double Histogram::Percentile(double p) const {
-  uint64_t n = count();
-  if (n == 0) return 0.0;
-  p = std::clamp(p, 0.0, 1.0);
-  // Rank of the quantile sample under the sorted-sample convention
-  // (ceil(p*n)), 1-based.
-  uint64_t rank =
-      static_cast<uint64_t>(std::ceil(p * static_cast<double>(n)));
-  rank = std::clamp<uint64_t>(rank, 1, n);
-
-  uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    uint64_t in_bucket = buckets_[i].load(std::memory_order_relaxed);
-    if (in_bucket == 0) continue;
-    if (seen + in_bucket >= rank) {
-      double lower = static_cast<double>(BucketLower(i));
-      double upper = static_cast<double>(BucketUpper(i));
-      // 0-based position of the target among this bucket's samples: the
-      // first sample sits at the lower bound, the last at the upper bound.
-      // (The old fraction (rank - seen) / in_bucket biased every estimate
-      // toward the upper bound — a lone sample in bucket 1 reported the
-      // boundary value instead of the bucket itself.)
-      uint64_t position = rank - seen - 1;
-      double fraction = in_bucket <= 1
-                            ? 0.0
-                            : static_cast<double>(position) /
-                                  static_cast<double>(in_bucket - 1);
-      double estimate = lower + (upper - lower) * fraction;
-      estimate = std::max(estimate, static_cast<double>(min()));
-      estimate = std::min(estimate, static_cast<double>(max()));
-      return estimate;
-    }
-    seen += in_bucket;
-  }
-  return static_cast<double>(max());
-}
 
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);

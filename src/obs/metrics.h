@@ -43,45 +43,6 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-// Fixed-bucket histogram over non-negative integer samples (span durations
-// in microseconds, byte sizes, ...). Bucket i holds the samples of bit
-// width i — powers of two cover the whole uint64 range with 65 buckets, and
-// recording is a handful of lock-free atomic operations, so histograms are
-// safe on hot paths and under concurrency.
-//
-// Registry-backed instruments use the finer-grained HdrHistogram
-// (obs/hdr_histogram.h) instead; this class remains the cheap fixed-size
-// option and the comparison baseline in the percentile property tests.
-class Histogram {
- public:
-  static constexpr int kNumBuckets = 65;
-
-  void Record(uint64_t sample);
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  // Smallest / largest recorded sample; UINT64_MAX / 0 when empty.
-  uint64_t min() const { return min_.load(std::memory_order_relaxed); }
-  uint64_t max() const { return max_.load(std::memory_order_relaxed); }
-
-  // The p-quantile (p in [0, 1]) under the sorted-sample convention (rank
-  // ceil(p*n), 1-based): samples inside the holding bucket are assumed
-  // evenly spread from its lower to its upper bound, so a bucket's first
-  // sample reports the lower bound — in particular the boundary between
-  // the single-valued buckets 0 ({0}) and 1 ({1}) is exact, and a
-  // percentile never lands above every sample in its bucket. Clamped to
-  // [min, max]. 0 when empty. The estimate always lies inside the bucket
-  // holding the exact rank-th sample, i.e. within a factor of 2.
-  double Percentile(double p) const;
-
- private:
-  std::atomic<uint64_t> buckets_[kNumBuckets] = {};
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> sum_{0};
-  std::atomic<uint64_t> min_{UINT64_MAX};
-  std::atomic<uint64_t> max_{0};
-};
-
 // Point-in-time views handed to the exporters.
 struct HistogramSnapshot {
   uint64_t count = 0;

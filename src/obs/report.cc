@@ -310,7 +310,7 @@ StatusOr<RunReport> ParseRunReport(std::string_view json_text) {
         report.metrics.histograms.emplace_back(key, h);
       }
     }
-    // "spans" is a derived re-exposure of the span.* histograms; skipped.
+    // Version-1 "spans" repeats the span.* histograms; skipped.
   }
   return report;
 }

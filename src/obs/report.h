@@ -27,7 +27,9 @@ namespace obs {
 // Bumped whenever a key is renamed, removed, or changes meaning. Adding
 // keys is backward compatible and does not bump it. Readers refuse
 // documents with a NEWER version than they were built against.
-inline constexpr int kRunReportSchemaVersion = 1;
+// Version 2 dropped metrics.spans, which repeated every span.* histogram;
+// version-1 documents still parse and their "spans" object is ignored.
+inline constexpr int kRunReportSchemaVersion = 2;
 
 // Where the numbers came from: enough to judge whether two reports are
 // comparable, and to bisect a shift to a commit or a machine change.

@@ -38,7 +38,6 @@ Status Batcher::SubmitAsync(Itemset itemset, Callback callback) {
     }
     if (pending_.size() >= config_.max_queue) {
       backpressure_rejects_.fetch_add(1, std::memory_order_relaxed);
-      OSSM_COUNTER_INC("serve.batcher.backpressure_rejects");
       return Status::ResourceExhausted(
           "query queue full (" + std::to_string(config_.max_queue) +
           " pending)");
@@ -127,10 +126,6 @@ void Batcher::RunBatch(std::vector<Pending> wave) {
     for (uint64_t wait : queue_wait_us) telemetry->RecordQueueWait(wait);
     telemetry->RecordWaveSize(wave.size());
   }
-  if (obs::MetricsEnabled()) {
-    OSSM_HISTOGRAM_RECORD("serve.batch_wait_us", queue_wait_us[0]);
-    OSSM_HISTOGRAM_RECORD("serve.batch_size", wave.size());
-  }
 
   std::vector<Itemset> itemsets;
   itemsets.reserve(wave.size());
@@ -143,9 +138,7 @@ void Batcher::RunBatch(std::vector<Pending> wave) {
       std::span<const Itemset>(itemsets.data(), itemsets.size()),
       QueryBatchOptions{.record_requests = false, .duplicates = &duplicates});
   coalesced_.fetch_add(duplicates, std::memory_order_relaxed);
-  OSSM_COUNTER_ADD("serve.batcher.coalesced", duplicates);
   batches_.fetch_add(1, std::memory_order_relaxed);
-  OSSM_COUNTER_INC("serve.batcher.batches");
   const auto wave_end = std::chrono::steady_clock::now();
   for (size_t i = 0; i < wave.size(); ++i) {
     StatusOr<QueryResult> answer =

@@ -31,23 +31,6 @@ struct BatchIndexEq {
   }
 };
 
-void RecordTierLatency(QueryTier tier, uint64_t us) {
-  switch (tier) {
-    case QueryTier::kBoundReject:
-      OSSM_HISTOGRAM_RECORD("serve.tier.bound_us", us);
-      break;
-    case QueryTier::kSingleton:
-      OSSM_HISTOGRAM_RECORD("serve.tier.singleton_us", us);
-      break;
-    case QueryTier::kCacheHit:
-      OSSM_HISTOGRAM_RECORD("serve.tier.cache_us", us);
-      break;
-    case QueryTier::kExact:
-      OSSM_HISTOGRAM_RECORD("serve.tier.exact_us", us);
-      break;
-  }
-}
-
 }  // namespace
 
 std::string_view QueryTierName(QueryTier tier) {
@@ -58,6 +41,17 @@ std::string_view QueryTierName(QueryTier tier) {
     case QueryTier::kExact: return "exact";
   }
   return "unknown";
+}
+
+BitmapFootprint AutoBitmapFootprint(const TransactionDatabase& db) {
+  BitmapFootprint footprint;
+  footprint.csr_bytes = db.total_item_occurrences() * sizeof(ItemId) +
+                        (db.num_transactions() + 1) * sizeof(uint64_t);
+  footprint.bitmap_bytes =
+      BitmapIndex::FootprintBytesFor(db.num_items(), db.num_transactions());
+  footprint.auto_uses_bitmaps =
+      footprint.bitmap_bytes <= 4 * footprint.csr_bytes;
+  return footprint;
 }
 
 QueryEngine::QueryEngine(const TransactionDatabase* db, SegmentSupportMap* map,
@@ -78,18 +72,10 @@ QueryEngine::QueryEngine(const TransactionDatabase* db, SegmentSupportMap* map,
     case BitmapMode::kOff:
       use_bitmaps_ = false;
       break;
-    case BitmapMode::kAuto: {
-      // Bitmaps when the index would cost at most 4x the CSR store. The
-      // decision is shape-only (FootprintBytesFor); the index itself is
-      // built lazily on the first exact count.
-      uint64_t csr_bytes =
-          db_->total_item_occurrences() * sizeof(ItemId) +
-          (db_->num_transactions() + 1) * sizeof(uint64_t);
-      use_bitmaps_ = BitmapIndex::FootprintBytesFor(
-                         db_->num_items(), db_->num_transactions()) <=
-                     4 * csr_bytes;
+    case BitmapMode::kAuto:
+      // The index itself is built lazily on the first exact count.
+      use_bitmaps_ = AutoBitmapFootprint(*db_).auto_uses_bitmaps;
       break;
-    }
   }
 }
 
@@ -121,7 +107,6 @@ bool QueryEngine::AnswerFromTiersOneTwo(std::span<const ItemId> itemset,
       result->tier = QueryTier::kBoundReject;
       result->frequent = false;
       bound_rejects_.fetch_add(1, std::memory_order_relaxed);
-      OSSM_COUNTER_INC("serve.bound_rejects");
       return true;
     }
     if (itemset.size() == 1) {
@@ -129,7 +114,6 @@ bool QueryEngine::AnswerFromTiersOneTwo(std::span<const ItemId> itemset,
       result->tier = QueryTier::kSingleton;
       result->frequent = result->support >= config_.min_support;
       singleton_hits_.fetch_add(1, std::memory_order_relaxed);
-      OSSM_COUNTER_INC("serve.singleton_hits");
       return true;
     }
   } else if (itemset.size() == 1) {
@@ -143,7 +127,6 @@ bool QueryEngine::AnswerFromTiersOneTwo(std::span<const ItemId> itemset,
     result->tier = QueryTier::kSingleton;
     result->frequent = result->support >= config_.min_support;
     singleton_hits_.fetch_add(1, std::memory_order_relaxed);
-    OSSM_COUNTER_INC("serve.singleton_hits");
     return true;
   }
   uint64_t cached = 0;
@@ -152,7 +135,6 @@ bool QueryEngine::AnswerFromTiersOneTwo(std::span<const ItemId> itemset,
     result->tier = QueryTier::kCacheHit;
     result->frequent = cached >= config_.min_support;
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    OSSM_COUNTER_INC("serve.cache_hits");
     return true;
   }
   return false;
@@ -173,8 +155,6 @@ std::vector<uint64_t> QueryEngine::BitmapCounts(
   });
   exact_counts_.fetch_add(needed.size(), std::memory_order_relaxed);
   bitmap_counts_.fetch_add(needed.size(), std::memory_order_relaxed);
-  OSSM_COUNTER_ADD("serve.exact_counts", needed.size());
-  OSSM_COUNTER_ADD("serve.bitmap_counts", needed.size());
   return totals;
 }
 
@@ -204,7 +184,6 @@ std::vector<uint64_t> QueryEngine::ExactCounts(
     }
   }
   exact_counts_.fetch_add(needed.size(), std::memory_order_relaxed);
-  OSSM_COUNTER_ADD("serve.exact_counts", needed.size());
   return totals;
 }
 
@@ -223,20 +202,14 @@ StatusOr<QueryResult> QueryEngine::Query(std::span<const ItemId> itemset) {
 StatusOr<bool> QueryEngine::TryAnswerWithoutScan(const Itemset& itemset,
                                                  QueryResult* result) {
   OSSM_RETURN_IF_ERROR(ValidateItemset(itemset));
-  ServeTelemetry* telemetry = config_.telemetry;
-  const bool metrics = obs::MetricsEnabled();
   WallTimer timer;
   if (!AnswerFromTiersOneTwo(itemset, result)) return false;
   queries_.fetch_add(1, std::memory_order_relaxed);
-  OSSM_COUNTER_INC("serve.queries");
-  if (metrics || telemetry != nullptr) {
+  if (ServeTelemetry* telemetry = config_.telemetry) {
     const uint64_t us = static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6);
-    if (metrics) RecordTierLatency(result->tier, us);
-    if (telemetry != nullptr) {
-      telemetry->RecordTierLatency(result->tier, us);
-      // Answered where it arrived: no queue in front of it.
-      telemetry->RecordRequest(itemset, *result, /*queue_wait_us=*/0, us);
-    }
+    telemetry->RecordTierLatency(result->tier, us);
+    // Answered where it arrived: no queue in front of it.
+    telemetry->RecordRequest(itemset, *result, /*queue_wait_us=*/0, us);
   }
   return true;
 }
@@ -249,7 +222,6 @@ StatusOr<std::vector<QueryResult>> QueryEngine::QueryBatch(
 StatusOr<std::vector<QueryResult>> QueryEngine::QueryBatch(
     std::span<const Itemset> itemsets, const QueryBatchOptions& options) {
   OSSM_TRACE_SPAN("serve.query_batch");
-  WallTimer timer;
   for (size_t i = 0; i < itemsets.size(); ++i) {
     Status status = ValidateItemset(itemsets[i]);
     if (!status.ok()) {
@@ -258,7 +230,6 @@ StatusOr<std::vector<QueryResult>> QueryEngine::QueryBatch(
     }
   }
   queries_.fetch_add(itemsets.size(), std::memory_order_relaxed);
-  OSSM_COUNTER_ADD("serve.queries", itemsets.size());
 
   // Dedup to first occurrence; every duplicate replays its twin's answer.
   std::vector<QueryResult> results(itemsets.size());
@@ -276,36 +247,21 @@ StatusOr<std::vector<QueryResult>> QueryEngine::QueryBatch(
   }
 
   // Tiers 1-2 per unique itemset; survivors share one exact pass. Tier
-  // latencies go to both sinks — the OSSM_METRICS histograms and the
-  // serving telemetry — exactly as TryAnswerWithoutScan records them, so
-  // batched traffic is visible in serve.tier.* alongside inline answers.
+  // latencies go to the serving telemetry exactly as TryAnswerWithoutScan
+  // records them, so batched traffic shows alongside inline answers.
   ServeTelemetry* telemetry = config_.telemetry;
-  const bool metrics = obs::MetricsEnabled();
-  // Per-query clock reads only when a sink consumes them.
-  const bool timing = metrics || telemetry != nullptr;
   std::vector<uint64_t> latency_us(itemsets.size(), 0);
   std::vector<Itemset> needed;
   std::vector<size_t> needed_owner;  // index of the unique query it answers
   for (size_t i : unique_order) {
-    if (!timing) {
-      if (!AnswerFromTiersOneTwo(itemsets[i], &results[i])) {
-        needed.push_back(itemsets[i]);
-        needed_owner.push_back(i);
-      }
-      continue;
-    }
     WallTimer tier_timer;
     if (!AnswerFromTiersOneTwo(itemsets[i], &results[i])) {
       needed.push_back(itemsets[i]);
       needed_owner.push_back(i);
-    } else {
-      const uint64_t us =
+    } else if (telemetry != nullptr) {
+      latency_us[i] =
           static_cast<uint64_t>(tier_timer.ElapsedSeconds() * 1e6);
-      latency_us[i] = us;
-      if (metrics) RecordTierLatency(results[i].tier, us);
-      if (telemetry != nullptr) {
-        telemetry->RecordTierLatency(results[i].tier, us);
-      }
+      telemetry->RecordTierLatency(results[i].tier, latency_us[i]);
     }
   }
   if (!needed.empty()) {
@@ -322,7 +278,6 @@ StatusOr<std::vector<QueryResult>> QueryEngine::QueryBatch(
       result.frequent = counts[q] >= config_.min_support;
       cache_.Insert(needed[q], counts[q]);
       latency_us[needed_owner[q]] = sweep_us;
-      if (metrics) RecordTierLatency(QueryTier::kExact, sweep_us);
       if (telemetry != nullptr) {
         telemetry->RecordTierLatency(QueryTier::kExact, sweep_us);
       }
@@ -344,13 +299,8 @@ StatusOr<std::vector<QueryResult>> QueryEngine::QueryBatch(
     }
   }
 
-  if (metrics) {
-    OSSM_HISTOGRAM_RECORD("serve.batch_queries", itemsets.size());
-    OSSM_HISTOGRAM_RECORD("serve.batch_exact", needed.size());
-    OSSM_HISTOGRAM_RECORD(
-        "serve.batch_us",
-        static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
-  }
+  OSSM_HISTOGRAM_RECORD("serve.batch_queries", itemsets.size());
+  OSSM_HISTOGRAM_RECORD("serve.batch_exact", needed.size());
   return results;
 }
 

@@ -59,13 +59,23 @@ struct EngineStats {
 // Whether tier-3 exact counts run on the vertical bitmap index
 // (data/bitmap_index.h) instead of the CSR containment sweep.
 enum class BitmapMode : uint8_t {
-  // Use bitmaps when their footprint is at most 4x the CSR store —
-  // i.e. average transaction density >= 1/128 of the item domain. Beyond
-  // that the rows are too sparse to be worth the memory.
-  kAuto = 0,
+  kAuto = 0,  // AutoBitmapFootprint(db).auto_uses_bitmaps decides
   kOn = 1,
   kOff = 2,
 };
+
+// The two tier-3 stores' footprints for `db` and BitmapMode::kAuto's rule
+// over them: use bitmaps when the index would cost at most 4x the CSR store
+// (item ids plus row offsets), i.e. average transaction density >= 1/128
+// of the item domain; sparser rows are not worth the memory. Shape-only
+// (BitmapIndex::FootprintBytesFor), so it is known before any index is
+// built. `ossm_cli info` reports the same decision.
+struct BitmapFootprint {
+  uint64_t csr_bytes = 0;
+  uint64_t bitmap_bytes = 0;
+  bool auto_uses_bitmaps = false;
+};
+BitmapFootprint AutoBitmapFootprint(const TransactionDatabase& db);
 
 struct QueryEngineConfig {
   // Absolute minimum support the bound screen rejects against. Callers

@@ -223,7 +223,6 @@ void SupportServer::AcceptNew() {
     conn->fd = fd;
     connections_.emplace(fd, std::move(conn));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    OSSM_COUNTER_INC("serve.server.connections");
   }
 }
 

@@ -307,11 +307,6 @@ std::optional<SegmentId> Pager::FindSegment(SegmentKind kind) const {
   return std::nullopt;
 }
 
-void Pager::SetSegmentUsedBytes(SegmentId id, uint64_t used_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (id < num_segments_) segments_[id].used_bytes = used_bytes;
-}
-
 void Pager::SetSegmentAux(SegmentId id, int slot, uint64_t value) {
   std::lock_guard<std::mutex> lock(mu_);
   if (id < num_segments_ && slot >= 0 && slot < 4) {

@@ -109,7 +109,6 @@ class Pager {
   uint32_t num_segments() const;
   const SegmentEntry& segment(SegmentId id) const;
   std::optional<SegmentId> FindSegment(SegmentKind kind) const;
-  void SetSegmentUsedBytes(SegmentId id, uint64_t used_bytes);
   void SetSegmentAux(SegmentId id, int slot, uint64_t value);
   void SetSegmentFlags(SegmentId id, uint32_t flags);
 

@@ -5,26 +5,9 @@
 #include <vector>
 
 #include "core/segment_support_map.h"
-#include "obs/obs.h"
-#include "parallel/thread_pool.h"
 
 namespace ossm {
 namespace {
-
-// Forces MetricsEnabled() on for a scope without touching the environment
-// (OSSM_METRICS is parsed once per process). Text mode is never *emitted*
-// here — no ReportNow and no registered at-exit reporter — so the only
-// observable effect is that instrumentation sites record.
-class ScopedMetricsOn {
- public:
-  ScopedMetricsOn()
-      : saved_(obs::internal::g_mode_cache.exchange(
-            static_cast<int>(obs::ExportMode::kText))) {}
-  ~ScopedMetricsOn() { obs::internal::g_mode_cache.store(saved_); }
-
- private:
-  int saved_;
-};
 
 SegmentSupportMap SmallMap() {
   std::vector<Segment> segments(2);
@@ -38,66 +21,9 @@ TEST(CandidatePrunerTest, AdmitsByUpperBound) {
   OssmPruner pruner(&map);
   std::vector<ItemId> pair = {0, 1};   // bound 0: never co-frequent
   std::vector<ItemId> single = {2};    // bound 10
-  EXPECT_FALSE(pruner.Admits(pair, 1));
-  EXPECT_TRUE(pruner.Admits(single, 10));
-  EXPECT_FALSE(pruner.Admits(single, 11));
-}
-
-// Regression for the counter-initialization race: the first instrumented
-// Admits calls used to do an unsynchronized check-then-store of the two
-// counter handles, so two threads hitting a fresh pruner concurrently could
-// each resolve (losing increments in the window where one handle was set
-// and the other still null). With std::call_once resolution, concurrent
-// first calls from pool workers must account for every single evaluation.
-TEST(CandidatePrunerTest, ConcurrentFirstAdmitsCountsExactly) {
-  ScopedMetricsOn metrics_on;
-  SegmentSupportMap map = SmallMap();
-  OssmPruner pruner(&map);  // fresh: counters unresolved
-
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  obs::Counter& evaluations =
-      registry.GetCounter("pruner.OSSM.bound_evaluations");
-  obs::Counter& pruned = registry.GetCounter("pruner.OSSM.pruned");
-  uint64_t evaluations_before = evaluations.value();
-  uint64_t pruned_before = pruned.value();
-
-  constexpr uint64_t kCalls = 20000;
-  std::vector<ItemId> always_pruned = {0, 1};  // bound 0 < min_support 1
-  parallel::ThreadPool pool(8);
-  pool.ParallelForEach(kCalls, [&](uint64_t) {
-    EXPECT_FALSE(pruner.Admits(always_pruned, 1));
-  });
-
-  EXPECT_EQ(evaluations.value() - evaluations_before, kCalls);
-  EXPECT_EQ(pruned.value() - pruned_before, kCalls);
-}
-
-TEST(CandidatePrunerTest, CopiedPrunerResolvesItsOwnCounters) {
-  ScopedMetricsOn metrics_on;
-  SegmentSupportMap map = SmallMap();
-  OssmPruner original(&map);
-  std::vector<ItemId> single = {2};
-  EXPECT_TRUE(original.Admits(single, 1));  // resolve the original's handles
-
-  // A copy starts unresolved (fresh once_flag) and must land on the same
-  // registry entries when it resolves.
-  OssmPruner copy = original;
-  obs::Counter& evaluations = obs::MetricsRegistry::Global().GetCounter(
-      "pruner.OSSM.bound_evaluations");
-  uint64_t before = evaluations.value();
-  EXPECT_TRUE(copy.Admits(single, 1));
-  EXPECT_EQ(evaluations.value() - before, 1u);
-}
-
-TEST(CandidatePrunerTest, MetricsDisabledSkipsCountersEntirely) {
-  SegmentSupportMap map = SmallMap();
-  OssmPruner pruner(&map);
-  std::vector<ItemId> single = {2};
-  // With metrics off (the default in tests) Admits must not resolve or
-  // touch any counter — just bound-check.
-  if (!obs::MetricsEnabled()) {
-    EXPECT_TRUE(pruner.Admits(single, 1));
-  }
+  EXPECT_FALSE(pruner.Evaluate(pair, 1).admitted);
+  EXPECT_TRUE(pruner.Evaluate(single, 10).admitted);
+  EXPECT_FALSE(pruner.Evaluate(single, 11).admitted);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "obs/metrics.h"
 
 namespace ossm {
 namespace obs {
@@ -65,6 +64,8 @@ TEST(HdrBucketLayoutTest, RelativeBucketWidthIsWithinDocumentedBound) {
 TEST(HdrHistogramTest, TracksCountSumMinMax) {
   HdrHistogram h;
   EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.min(), UINT64_MAX);
+  EXPECT_EQ(h.max(), 0u);
   EXPECT_EQ(h.Percentile(0.5), 0.0);
   h.Record(5);
   h.Record(1000);
@@ -73,6 +74,29 @@ TEST(HdrHistogramTest, TracksCountSumMinMax) {
   EXPECT_EQ(h.sum(), 1010u);
   EXPECT_EQ(h.min(), 5u);
   EXPECT_EQ(h.max(), 1000u);
+
+  // Both ends of the value range land in a bucket of a live histogram.
+  HdrHistogram extremes;
+  extremes.Record(0);
+  extremes.Record(UINT64_MAX);
+  EXPECT_EQ(extremes.count(), 2u);
+  EXPECT_EQ(extremes.min(), 0u);
+  EXPECT_EQ(extremes.max(), UINT64_MAX);
+  EXPECT_EQ(extremes.Percentile(0.5), 0.0);
+  const double top = static_cast<double>(UINT64_MAX);
+  EXPECT_LE(std::abs(extremes.Percentile(1.0) - top) / top,
+            HdrBucketLayout::PercentileErrorBound());
+
+  // One sample is every percentile: the clamp to [min, max] pins it even
+  // where its bucket is wider than one value.
+  for (uint64_t value : {uint64_t{7}, uint64_t{1000}}) {
+    HdrHistogram single;
+    single.Record(value);
+    for (double p : {0.0, 0.5, 0.99, 1.0}) {
+      EXPECT_EQ(single.Percentile(p), static_cast<double>(value))
+          << "value=" << value << " p=" << p;
+    }
+  }
 }
 
 TEST(HdrHistogramTest, SmallValuesReportExactPercentiles) {
@@ -126,53 +150,6 @@ TEST(HdrHistogramTest, PercentilesTrackExactSortedSamples) {
       }
     }
   }
-}
-
-// The legacy power-of-two Histogram makes the same promise with a coarser
-// bound: the estimate lies inside the bucket that holds the exact rank-th
-// sample, i.e. within a factor of 2.
-TEST(HistogramComparisonTest, LegacyHistogramStaysWithinFactorOfTwo) {
-  for (uint64_t seed : {21ull, 22ull, 23ull}) {
-    SCOPED_TRACE(seed);
-    Rng rng(seed);
-    Histogram h;
-    std::vector<uint64_t> samples;
-    for (int i = 0; i < 10000; ++i) {
-      uint64_t value = static_cast<uint64_t>(rng.Exponential(3000.0));
-      samples.push_back(value);
-      h.Record(value);
-    }
-    std::sort(samples.begin(), samples.end());
-    for (double p : {0.25, 0.5, 0.95, 0.99, 1.0}) {
-      uint64_t exact = ExactPercentile(samples, p);
-      double estimate = h.Percentile(p);
-      if (exact < 2) {
-        EXPECT_LE(estimate, 2.0) << "p=" << p;
-        continue;
-      }
-      EXPECT_GE(estimate, static_cast<double>(exact) / 2.0)
-          << "p=" << p << " exact=" << exact;
-      EXPECT_LE(estimate, static_cast<double>(exact) * 2.0)
-          << "p=" << p << " exact=" << exact;
-    }
-  }
-}
-
-// The satellite fix: samples that straddle the single-valued buckets 0 and
-// 1 must interpolate exactly, and the first sample of a bucket reports the
-// bucket's lower bound instead of leaning upward.
-TEST(HistogramComparisonTest, BucketBoundaryPercentilesAreExact) {
-  Histogram h;
-  for (int i = 0; i < 5; ++i) h.Record(0);
-  for (int i = 0; i < 5; ++i) h.Record(1);
-  EXPECT_EQ(h.Percentile(0.5), 0.0);   // rank 5 of 10 is the last 0
-  EXPECT_EQ(h.Percentile(0.6), 1.0);   // rank 6 is the first 1
-  EXPECT_EQ(h.Percentile(1.0), 1.0);
-
-  Histogram single;
-  single.Record(7);
-  EXPECT_EQ(single.Percentile(0.5), 7.0);
-  EXPECT_EQ(single.Percentile(1.0), 7.0);
 }
 
 TEST(HdrSnapshotTest, MergeAndSubtractAreInverse) {

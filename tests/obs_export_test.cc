@@ -81,7 +81,7 @@ TEST(JsonReportTest, EmptySnapshotIsStillValidJson) {
   WriteJsonReport(MetricsSnapshot{}, out);
   EXPECT_EQ(out.str(),
             "{\n  \"counters\": {},\n  \"gauges\": {},\n"
-            "  \"histograms\": {},\n  \"spans\": {}\n}\n");
+            "  \"histograms\": {}\n}\n");
 }
 
 TEST(TextReportTest, ContainsSectionsAndStrippedSpanNames) {

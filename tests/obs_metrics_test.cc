@@ -45,85 +45,6 @@ TEST(GaugeTest, SetAndAddBothWays) {
   EXPECT_EQ(gauge.value(), 7);
 }
 
-TEST(HistogramTest, EmptyHistogram) {
-  Histogram histogram;
-  EXPECT_EQ(histogram.count(), 0u);
-  EXPECT_EQ(histogram.sum(), 0u);
-  EXPECT_EQ(histogram.min(), UINT64_MAX);
-  EXPECT_EQ(histogram.max(), 0u);
-  EXPECT_EQ(histogram.Percentile(0.5), 0.0);
-}
-
-TEST(HistogramTest, SingleSampleIsEveryPercentile) {
-  Histogram histogram;
-  histogram.Record(42);
-  EXPECT_EQ(histogram.count(), 1u);
-  EXPECT_EQ(histogram.sum(), 42u);
-  EXPECT_EQ(histogram.min(), 42u);
-  EXPECT_EQ(histogram.max(), 42u);
-  // Clamping to [min, max] pins every quantile of a single sample.
-  EXPECT_DOUBLE_EQ(histogram.Percentile(0.0), 42.0);
-  EXPECT_DOUBLE_EQ(histogram.Percentile(0.5), 42.0);
-  EXPECT_DOUBLE_EQ(histogram.Percentile(1.0), 42.0);
-}
-
-TEST(HistogramTest, BasicStatsAndMonotonicPercentiles) {
-  Histogram histogram;
-  uint64_t sum = 0;
-  for (uint64_t v = 1; v <= 1000; ++v) {
-    histogram.Record(v);
-    sum += v;
-  }
-  EXPECT_EQ(histogram.count(), 1000u);
-  EXPECT_EQ(histogram.sum(), sum);
-  EXPECT_EQ(histogram.min(), 1u);
-  EXPECT_EQ(histogram.max(), 1000u);
-
-  double p50 = histogram.Percentile(0.50);
-  double p95 = histogram.Percentile(0.95);
-  double p99 = histogram.Percentile(0.99);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  EXPECT_GE(p50, 1.0);
-  EXPECT_LE(p99, 1000.0);
-  // Power-of-two buckets are coarse, but the median of 1..1000 must land
-  // in the right ballpark (its bucket spans 512..1023).
-  EXPECT_GE(p50, 256.0);
-  EXPECT_LE(p50, 1000.0);
-}
-
-TEST(HistogramTest, RecordsZeroAndHugeSamples) {
-  Histogram histogram;
-  histogram.Record(0);
-  histogram.Record(UINT64_MAX);
-  EXPECT_EQ(histogram.count(), 2u);
-  EXPECT_EQ(histogram.min(), 0u);
-  EXPECT_EQ(histogram.max(), UINT64_MAX);
-}
-
-TEST(HistogramTest, ConcurrentRecordsAllLand) {
-  Histogram histogram;
-  constexpr int kThreads = 4;
-  constexpr int kSamples = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&histogram] {
-      for (int i = 0; i < kSamples; ++i) {
-        histogram.Record(static_cast<uint64_t>(i % 128));
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  EXPECT_EQ(histogram.count(),
-            static_cast<uint64_t>(kThreads) * kSamples);
-  uint64_t per_thread_sum = 0;
-  for (int i = 0; i < kSamples; ++i) per_thread_sum += i % 128;
-  EXPECT_EQ(histogram.sum(), kThreads * per_thread_sum);
-  EXPECT_EQ(histogram.min(), 0u);
-  EXPECT_EQ(histogram.max(), 127u);
-}
-
 TEST(MetricsRegistryTest, SameNameSameInstrument) {
   MetricsRegistry registry;
   Counter& a = registry.GetCounter("miner.candidates");

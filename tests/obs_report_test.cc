@@ -122,12 +122,41 @@ TEST(RunReportTest, SetWorkloadOverwrites) {
 
 TEST(RunReportTest, RejectsNewerSchemaVersion) {
   std::string text = Render(GoldenReport());
-  std::string needle = "\"schema_version\": 1";
+  std::string needle =
+      "\"schema_version\": " + std::to_string(kRunReportSchemaVersion);
   size_t at = text.find(needle);
   ASSERT_NE(at, std::string::npos);
   text.replace(at, needle.size(), "\"schema_version\": 999");
   StatusOr<RunReport> parsed = ParseRunReport(text);
   EXPECT_FALSE(parsed.ok());
+}
+
+// Version 1 wrote every span.* histogram a second time under
+// metrics.spans; such documents (the committed baselines among them) still
+// load, with the duplicate ignored.
+TEST(RunReportTest, ParsesVersionOneWithSpansObject) {
+  StatusOr<RunReport> parsed = ParseRunReport(R"({
+  "schema_version": 1,
+  "name": "bench.v1",
+  "metrics": {
+    "counters": {"apriori.candidates_counted": 7},
+    "gauges": {},
+    "histograms": {
+      "span.ossm.build": {"count": 2, "sum": 3500, "min": 1500, "max": 2000, "p50": 1700.5, "p95": 1980, "p99": 1996}
+    },
+    "spans": {
+      "ossm.build": {"count": 2, "total_us": 3500, "p50_us": 1700.5, "p95_us": 1980, "p99_us": 1996, "max_us": 2000}
+    }
+  }
+})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->schema_version, 1);
+  EXPECT_EQ(parsed->name, "bench.v1");
+  ASSERT_EQ(parsed->metrics.counters.size(), 1u);
+  EXPECT_EQ(parsed->metrics.counters[0].second, 7u);
+  ASSERT_EQ(parsed->metrics.histograms.size(), 1u);
+  EXPECT_EQ(parsed->metrics.histograms[0].first, "span.ossm.build");
+  EXPECT_EQ(parsed->metrics.histograms[0].second.sum, 3500u);
 }
 
 TEST(RunReportTest, RejectsNonReportDocuments) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "datagen/quest_generator.h"
 #include "datagen/skewed_generator.h"
 
@@ -149,10 +151,19 @@ TEST(OssmBuilderTest, MemoryFootprintScalesWithSegments) {
 
 TEST(OssmBuilderTest, RejectsBadBubbleFraction) {
   TransactionDatabase db = SmallQuest(9);
-  OssmBuildOptions options;
-  options.bubble_fraction = 1.5;
-  EXPECT_EQ(BuildOssm(db, options).status().code(),
-            StatusCode::kInvalidArgument);
+  // NaN compares false with everything, so a range check must be negated
+  // to catch it.
+  for (double bad : {1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(bad);
+    OssmBuildOptions options;
+    options.bubble_fraction = bad;
+    EXPECT_EQ(BuildOssm(db, options).status().code(),
+              StatusCode::kInvalidArgument);
+    options.bubble_fraction = 0.1;
+    options.bubble_threshold = bad;
+    EXPECT_EQ(BuildOssm(db, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(OssmBuilderTest, RejectsEmptyDatabase) {

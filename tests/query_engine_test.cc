@@ -6,25 +6,12 @@
 
 #include "core/ossm_builder.h"
 #include "datagen/quest_generator.h"
-#include "obs/obs.h"
 #include "parallel/thread_pool.h"
 #include "serve/telemetry.h"
 
 namespace ossm {
 namespace serve {
 namespace {
-
-// Forces OSSM_METRICS on for the test's scope via the mode-cache hook.
-class ScopedMetricsOn {
- public:
-  ScopedMetricsOn()
-      : saved_(obs::internal::g_mode_cache.exchange(
-            static_cast<int>(obs::ExportMode::kText))) {}
-  ~ScopedMetricsOn() { obs::internal::g_mode_cache.store(saved_); }
-
- private:
-  int saved_;
-};
 
 struct Fixture {
   TransactionDatabase db;
@@ -311,24 +298,15 @@ TEST(QueryEngineTest, StatsTallyEveryTier) {
             issued);
 }
 
-TEST(QueryEngineTest, BatchRecordsTierLatenciesInBothSinks) {
-  // Regression: QueryBatch used to feed tier latencies only into the
-  // serving telemetry — the OSSM_METRICS serve.tier.* histograms never saw
-  // batched tier-1/2 answers (or exact ones). Both sinks must record,
-  // exactly as Query() does.
-  ScopedMetricsOn metrics_on;
+TEST(QueryEngineTest, BatchRecordsTierLatenciesInTelemetry) {
+  // Regression: batched tier-1/2 answers (and exact ones) must reach the
+  // serving telemetry's per-tier histograms exactly as Query() answers do.
   Fixture fx = MakeFixture();
   ServeTelemetry telemetry{ServeTelemetry::Config{}};
   QueryEngineConfig config;
   config.min_support = 40;
   config.telemetry = &telemetry;
   QueryEngine engine(&fx.db, &fx.map, config);
-
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  const uint64_t singleton_before =
-      registry.GetHistogram("serve.tier.singleton_us").count();
-  const uint64_t exact_before =
-      registry.GetHistogram("serve.tier.exact_us").count();
 
   std::vector<Itemset> queries;
   for (ItemId a = 0; a < 10; ++a) {
@@ -346,14 +324,7 @@ TEST(QueryEngineTest, BatchRecordsTierLatenciesInBothSinks) {
   }
   ASSERT_GT(singletons, 0u);
   ASSERT_GT(exacts, 0u);
-  // OSSM_METRICS sink: one record per answered query, per tier.
-  EXPECT_EQ(registry.GetHistogram("serve.tier.singleton_us").count() -
-                singleton_before,
-            singletons);
-  EXPECT_EQ(registry.GetHistogram("serve.tier.exact_us").count() -
-                exact_before,
-            exacts);
-  // Serving-telemetry sink: same tallies.
+  // One record per answered query, per tier.
   EXPECT_EQ(telemetry.tier_histogram(QueryTier::kSingleton).count(),
             singletons);
   EXPECT_EQ(telemetry.tier_histogram(QueryTier::kExact).count(), exacts);

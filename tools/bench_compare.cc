@@ -21,6 +21,7 @@
 //                          parse errors); for cross-machine comparisons
 //                          where wall-clock gating would be noise
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,6 +41,15 @@ int Usage() {
       "       [--value-rel=F] [--spans] [--fail-on-missing] "
       "[--report-only]\n");
   return 2;
+}
+
+// Parses a threshold flag's value in full; false on trailing text, an
+// empty value or overflow (--value-rel=abc must not gate every value at 0%).
+bool ParseDouble(const std::string& text, double* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && errno != ERANGE;
 }
 
 int Main(int argc, char** argv) {
@@ -67,14 +77,22 @@ int Main(int argc, char** argv) {
                                         ? std::string::npos
                                         : eq - 2);
     std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    const bool numeric = key == "time-rel" || key == "time-floor-ms" ||
+                         key == "count-rel" || key == "value-rel";
+    double number = 0.0;
+    if (numeric && !ParseDouble(value, &number)) {
+      std::fprintf(stderr, "error: --%s=%s is not a number\n", key.c_str(),
+                   value.c_str());
+      return 2;
+    }
     if (key == "time-rel") {
-      options.time_rel_threshold = std::strtod(value.c_str(), nullptr);
+      options.time_rel_threshold = number;
     } else if (key == "time-floor-ms") {
-      options.time_floor_seconds = std::strtod(value.c_str(), nullptr) / 1e3;
+      options.time_floor_seconds = number / 1e3;
     } else if (key == "count-rel") {
-      options.count_rel_threshold = std::strtod(value.c_str(), nullptr);
+      options.count_rel_threshold = number;
     } else if (key == "value-rel") {
-      options.value_rel_threshold = std::strtod(value.c_str(), nullptr);
+      options.value_rel_threshold = number;
     } else if (key == "spans") {
       options.include_span_totals = true;
     } else if (key == "fail-on-missing") {

@@ -39,7 +39,6 @@
 #include "core/ossm_builder.h"
 #include "core/ossm_io.h"
 #include "core/theory.h"
-#include "data/bitmap_index.h"
 #include "data/dataset_io.h"
 #include "kernels/kernels.h"
 #include "datagen/alarm_generator.h"
@@ -603,22 +602,17 @@ int CmdInfo(const Args& args) {
   if (args.Has("data")) {
     StatusOr<TransactionDatabase> db = LoadDataset(args.Get("data", ""));
     if (!db.ok()) return Fail(db.status());
-    uint64_t bitmap_bytes = BitmapIndex::FootprintBytesFor(
-        db->num_items(), db->num_transactions());
-    uint64_t csr_bytes =
-        db->total_item_occurrences() * sizeof(ItemId) +
-        (db->num_transactions() + 1) * sizeof(uint64_t);
-    // Mirrors QueryEngine's BitmapMode::kAuto rule.
-    bool auto_bitmaps = bitmap_bytes <= 4 * csr_bytes;
+    serve::BitmapFootprint footprint = serve::AutoBitmapFootprint(*db);
     std::printf(
         "dataset: %llu transactions, %u items\n"
         "CSR store: %.1f KB; vertical bitmap index: %.1f KB (%.2fx)\n"
         "serve tier-3 auto mode would use: %s\n",
         static_cast<unsigned long long>(db->num_transactions()),
-        db->num_items(), csr_bytes / 1024.0, bitmap_bytes / 1024.0,
-        static_cast<double>(bitmap_bytes) /
-            static_cast<double>(std::max<uint64_t>(csr_bytes, 1)),
-        auto_bitmaps ? "bitmap index" : "CSR scan");
+        db->num_items(), footprint.csr_bytes / 1024.0,
+        footprint.bitmap_bytes / 1024.0,
+        static_cast<double>(footprint.bitmap_bytes) /
+            static_cast<double>(std::max<uint64_t>(footprint.csr_bytes, 1)),
+        footprint.auto_uses_bitmaps ? "bitmap index" : "CSR scan");
     // Under OSSM_STORAGE=mmap the CSR just loaded lives in a mapped store;
     // show where the bytes actually are (mapped file size vs resident).
     for (const storage::StoreInfo& info : storage::LiveStores()) {
