@@ -26,11 +26,10 @@ int Run(int argc, char** argv) {
   bench::BenchReporter reporter("ablation_generalized", flags);
   bool paper = flags.PaperScale();
   uint64_t num_transactions =
-      flags.GetInt("transactions", paper ? 100000 : 20000);
-  uint32_t num_items =
-      static_cast<uint32_t>(flags.GetInt("items", paper ? 1000 : 300));
-  uint64_t seed = flags.GetInt("seed", 1);
-  int repeats = static_cast<int>(flags.GetInt("repeats", 2));
+      flags.GetInt<uint64_t>("transactions", paper ? 100000 : 20000);
+  uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 300);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
+  int repeats = flags.GetInt<int>("repeats", 2);
 
   std::printf(
       "Ablation — generalized OSSM (footnote 3): tracked pairs vs none\n"
@@ -53,6 +52,7 @@ int Run(int argc, char** argv) {
       bench::MeasureApriori(db, base_config, repeats);
   uint64_t baseline_counted = baseline.result.stats.TotalCandidatesCounted();
   reporter.AddPhaseSeconds("baseline_mine", baseline.seconds);
+  reporter.AddPatternResults("", baseline.result);
   WallTimer sweep_timer;
 
   OssmBuildOptions build_options;
@@ -75,6 +75,8 @@ int Run(int argc, char** argv) {
     config.pruner = &pruner;
     bench::MiningMeasurement with =
         bench::MeasureApriori(db, config, repeats);
+    OSSM_CHECK(with.result.SamePatternsAs(baseline.result))
+        << "OSSM pruning must be lossless";
     uint64_t counted = with.result.stats.TotalCandidatesCounted();
     table.AddRow(
         {"0 (singletons only)",
@@ -85,12 +87,12 @@ int Run(int argc, char** argv) {
                  static_cast<double>(baseline_counted),
              3),
          TablePrinter::FormatDouble(baseline.seconds / with.seconds, 2)});
-    reporter.AddValue("counted_fraction.singleton",
-                      static_cast<double>(counted) /
-                          static_cast<double>(baseline_counted));
+    reporter.AddResult("counted_fraction.singleton",
+                       static_cast<double>(counted) /
+                           static_cast<double>(baseline_counted));
     reporter.AddValue("speedup.singleton", baseline.seconds / with.seconds);
-    reporter.AddValue("memory_kb.singleton",
-                      build->map.MemoryFootprintBytes() / 1024.0);
+    reporter.AddResult("memory_kb.singleton",
+                       build->map.MemoryFootprintBytes() / 1024.0);
   }
 
   for (uint32_t tracked : {num_items / 16, num_items / 8, num_items / 4,
@@ -105,6 +107,8 @@ int Run(int argc, char** argv) {
     config.pruner = &pruner;
     bench::MiningMeasurement with =
         bench::MeasureApriori(db, config, repeats);
+    OSSM_CHECK(with.result.SamePatternsAs(baseline.result))
+        << "generalized OSSM pruning must be lossless";
     uint64_t counted = with.result.stats.TotalCandidatesCounted();
     table.AddRow(
         {std::to_string(tracked),
@@ -117,12 +121,12 @@ int Run(int argc, char** argv) {
              3),
          TablePrinter::FormatDouble(baseline.seconds / with.seconds, 2)});
     std::string point = "t" + std::to_string(tracked);
-    reporter.AddValue("counted_fraction." + point,
-                      static_cast<double>(counted) /
-                          static_cast<double>(baseline_counted));
+    reporter.AddResult("counted_fraction." + point,
+                       static_cast<double>(counted) /
+                           static_cast<double>(baseline_counted));
     reporter.AddValue("speedup." + point, baseline.seconds / with.seconds);
-    reporter.AddValue("memory_kb." + point,
-                      generalized->MemoryFootprintBytes() / 1024.0);
+    reporter.AddResult("memory_kb." + point,
+                       generalized->MemoryFootprintBytes() / 1024.0);
   }
   reporter.AddPhaseSeconds("sweep", sweep_timer.ElapsedSeconds());
 

@@ -27,11 +27,10 @@ int Run(int argc, char** argv) {
   bench::BenchReporter reporter("ablation_pagesize", flags);
   bool paper = flags.PaperScale();
   uint64_t num_transactions =
-      flags.GetInt("transactions", paper ? 100000 : 20000);
-  uint32_t num_items =
-      static_cast<uint32_t>(flags.GetInt("items", paper ? 1000 : 400));
-  uint64_t seed = flags.GetInt("seed", 1);
-  int repeats = static_cast<int>(flags.GetInt("repeats", 2));
+      flags.GetInt<uint64_t>("transactions", paper ? 100000 : 20000);
+  uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
+  int repeats = flags.GetInt<int>("repeats", 2);
 
   std::printf(
       "Ablation — page-size sensitivity (n_user = 60, Greedy, drifting\n"
@@ -52,6 +51,7 @@ int Run(int argc, char** argv) {
       bench::MeasureApriori(db, base_config, repeats);
   uint64_t baseline_c2 = baseline.result.stats.CountedAtLevel(2);
   reporter.AddPhaseSeconds("baseline_mine", baseline.seconds);
+  reporter.AddPatternResults("", baseline.result);
 
   TablePrinter table({"txns/page", "pages", "seg. time (s)", "ossub evals",
                       "C2 counted", "speedup"});
@@ -74,27 +74,25 @@ int Run(int argc, char** argv) {
     config.pruner = &pruner;
     bench::MiningMeasurement with =
         bench::MeasureApriori(db, config, repeats);
+    OSSM_CHECK(with.result.SamePatternsAs(baseline.result))
+        << "OSSM pruning must be lossless";
+    double c2_fraction =
+        baseline_c2 == 0
+            ? 1.0
+            : static_cast<double>(with.result.stats.CountedAtLevel(2)) /
+                  static_cast<double>(baseline_c2);
 
     table.AddRow(
         {TablePrinter::FormatCount(page), TablePrinter::FormatCount(pages),
          TablePrinter::FormatDouble(build->stats.seconds, 3),
          TablePrinter::FormatCount(build->stats.ossub_evaluations),
-         TablePrinter::FormatDouble(
-             baseline_c2 == 0
-                 ? 1.0
-                 : static_cast<double>(
-                       with.result.stats.CountedAtLevel(2)) /
-                       static_cast<double>(baseline_c2),
-             3),
+         TablePrinter::FormatDouble(c2_fraction, 3),
          TablePrinter::FormatDouble(baseline.seconds / with.seconds, 2)});
     std::string point = "p" + std::to_string(page);
     reporter.AddValue("seg_seconds." + point, build->stats.seconds);
-    reporter.AddValue(
-        "c2_fraction." + point,
-        baseline_c2 == 0
-            ? 1.0
-            : static_cast<double>(with.result.stats.CountedAtLevel(2)) /
-                  static_cast<double>(baseline_c2));
+    reporter.AddResult("ossub_evals." + point,
+                       static_cast<double>(build->stats.ossub_evaluations));
+    reporter.AddResult("c2_fraction." + point, c2_fraction);
     reporter.AddValue("speedup." + point, baseline.seconds / with.seconds);
   }
   reporter.AddPhaseSeconds("sweep", sweep_timer.ElapsedSeconds());

@@ -29,11 +29,10 @@ int Run(int argc, char** argv) {
   bench::BenchReporter reporter("ablation_skew", flags);
   bool paper = flags.PaperScale();
   uint64_t num_transactions =
-      flags.GetInt("transactions", paper ? 100000 : 20000);
-  uint32_t num_items =
-      static_cast<uint32_t>(flags.GetInt("items", paper ? 1000 : 300));
-  uint64_t seed = flags.GetInt("seed", 1);
-  int repeats = static_cast<int>(flags.GetInt("repeats", 2));
+      flags.GetInt<uint64_t>("transactions", paper ? 100000 : 20000);
+  uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 300);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
+  int repeats = flags.GetInt<int>("repeats", 2);
 
   reporter.SetWorkload("transactions", num_transactions);
   reporter.SetWorkload("items", static_cast<uint64_t>(num_items));
@@ -73,6 +72,10 @@ int Run(int argc, char** argv) {
     base_config.min_support_fraction = 0.01;
     bench::MiningMeasurement baseline =
         bench::MeasureApriori(*db, base_config, repeats);
+    std::string budget_point = "n";
+    budget_point += std::to_string(n_user) + ".boost" +
+                    TablePrinter::FormatDouble(boost, 0);
+    reporter.AddPatternResults(budget_point + ".", baseline.result);
 
     std::vector<std::string> row = {TablePrinter::FormatDouble(boost, 0)};
     for (SegmentationAlgorithm algorithm :
@@ -92,6 +95,8 @@ int Run(int argc, char** argv) {
       config.pruner = &pruner;
       bench::MiningMeasurement with =
           bench::MeasureApriori(*db, config, repeats);
+      OSSM_CHECK(with.result.SamePatternsAs(baseline.result))
+          << "OSSM pruning must be lossless";
 
       uint64_t generated = with.result.stats.GeneratedAtLevel(2);
       uint64_t pruned = 0;
@@ -106,9 +111,8 @@ int Run(int argc, char** argv) {
       row.push_back(
           TablePrinter::FormatDouble(baseline.seconds / with.seconds, 2));
       std::string point = std::string(SegmentationAlgorithmName(algorithm)) +
-                          ".n" + std::to_string(n_user) + ".boost" +
-                          TablePrinter::FormatDouble(boost, 0);
-      reporter.AddValue("pruned_pct." + point, pruned_percent);
+                          "." + budget_point;
+      reporter.AddResult("pruned_pct." + point, pruned_percent);
       reporter.AddValue("speedup." + point,
                         baseline.seconds / with.seconds);
     }

@@ -33,8 +33,8 @@ uint64_t TrueSupport(const TransactionDatabase& db, const Itemset& items) {
 int Run(int argc, char** argv) {
   bench::Flags flags(argc, argv, {"scale", "seed", "transactions", "report"});
   bench::BenchReporter reporter("ablation_theory", flags);
-  uint64_t num_transactions = flags.GetInt("transactions", 5000);
-  uint64_t seed = flags.GetInt("seed", 1);
+  uint64_t num_transactions = flags.GetInt<uint64_t>("transactions", 5000);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
 
   reporter.SetWorkload("transactions", num_transactions);
   reporter.SetWorkload("seed", seed);
@@ -93,12 +93,12 @@ int Run(int argc, char** argv) {
     }
 
     std::string point = "m" + std::to_string(m);
-    reporter.AddValue("n_min." + point, static_cast<double>(n_min));
-    reporter.AddValue("page_n_min." + point,
-                      static_cast<double>(page_n_min));
-    reporter.AddValue("n_min_ratio." + point,
-                      static_cast<double>(n_min) /
-                          static_cast<double>(bound));
+    reporter.AddResult("n_min." + point, static_cast<double>(n_min));
+    reporter.AddResult("page_n_min." + point,
+                       static_cast<double>(page_n_min));
+    reporter.AddResult("n_min_ratio." + point,
+                       static_cast<double>(n_min) /
+                           static_cast<double>(bound));
 
     table.AddRow({std::to_string(m),
                   cap == UINT64_MAX ? "2^m - m" : std::to_string(cap),
@@ -110,7 +110,7 @@ int Run(int argc, char** argv) {
   }
 
   reporter.AddPhaseSeconds("sweep", sweep_timer.ElapsedSeconds());
-  reporter.AddValue("exact_failures", static_cast<double>(exact_failures));
+  reporter.AddResult("exact_failures", static_cast<double>(exact_failures));
 
   table.Print(std::cout);
   std::printf(

@@ -8,7 +8,6 @@
 // thread pool (OSSM_THREADS; set OSSM_THREADS=1 for the paper's exact
 // one-core 2002 conditions — results are bit-identical either way).
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parse_flag.h"
 #include "common/timer.h"
 #include "data/transaction_database.h"
 #include "obs/obs.h"
@@ -71,20 +71,19 @@ class Flags {
     return fallback;
   }
 
-  // The value must parse in full: --transactions=2k or --repeats=abc exits
-  // 2 naming the flag instead of running at 2 or 0.
-  uint64_t GetInt(const std::string& key, uint64_t fallback) const {
+  // The value must parse in full and fit T: --transactions=2k,
+  // --transactions=-5 or --repeats=abc exits 2 naming the flag instead of
+  // running at 2, 2^64 - 5 or 0.
+  template <typename T>
+  T GetInt(const std::string& key, T fallback) const {
     for (const auto& [k, v] : values_) {
       if (k != key) continue;
-      char* end = nullptr;
-      errno = 0;
-      uint64_t value = std::strtoull(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "error: --%s=%s is not a number\n", key.c_str(),
-                     v.c_str());
+      StatusOr<T> value = ParseIntFlag<T>(key, v);
+      if (!value.ok()) {
+        std::fprintf(stderr, "error: %s\n", value.status().ToString().c_str());
         std::exit(2);
       }
-      return value;
+      return *value;
     }
     return fallback;
   }
@@ -198,13 +197,16 @@ inline MiningMeasurement MeasureApriori(const TransactionDatabase& db,
 // is emitted at most once per process.
 inline void ReportMetrics() { obs::ReportNow(); }
 
-// Every harness funnels its results through one of these: construct it at
+// Every harness funnels its numbers through one of these: construct it at
 // the top of Run() (which switches the metrics registry into collect-only
 // mode, so pool and miner counters populate even without OSSM_METRICS),
-// record the workload knobs and headline numbers as the run goes, and call
-// Finish() last. Finish() snapshots the registry and writes the canonical
-// RunReport JSON to BENCH_<name>.json (or --report=PATH; --report=none
-// skips the file), which is what bench_compare and the CI gate consume.
+// record the workload knobs as the run goes, timings with AddPhaseSeconds
+// and AddValue, and deterministic outputs (pattern counts, C2 fractions,
+// ossub evaluations) with AddResult, and call Finish() last. Finish()
+// snapshots the registry and writes the canonical RunReport JSON to
+// BENCH_<name>.json (or --report=PATH; --report=none skips the file).
+// bench_compare and the CI gate hold every result to the committed
+// baseline exactly and print the timings.
 class BenchReporter {
  public:
   BenchReporter(const std::string& name, const Flags& flags)
@@ -227,6 +229,20 @@ class BenchReporter {
   }
   void AddValue(const std::string& name, double value) {
     report_.AddValue(name, value);
+  }
+  void AddResult(const std::string& name, double value) {
+    report_.AddResult(name, value);
+  }
+  // Publishes a mining run's output as results: `<prefix>patterns`, the
+  // number of frequent itemsets, and `<prefix>patterns.level<k>` per level.
+  // Pruning must leave both unchanged, so the gate catches a lost pattern.
+  void AddPatternResults(const std::string& prefix,
+                         const MiningResult& result) {
+    AddResult(prefix + "patterns", static_cast<double>(result.itemsets.size()));
+    for (const LevelStats& level : result.stats.levels) {
+      AddResult(prefix + "patterns.level" + std::to_string(level.level),
+                static_cast<double>(level.frequent));
+    }
   }
 
   // Times a stretch of the harness as a named phase:

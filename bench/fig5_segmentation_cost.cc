@@ -38,7 +38,7 @@ struct StrategyOutcome {
 
 StrategyOutcome RunStrategy(const TransactionDatabase& db,
                             SegmentationAlgorithm algorithm,
-                            double baseline_seconds, uint64_t baseline_c2,
+                            const bench::MiningMeasurement& baseline,
                             int repeats) {
   OssmBuildOptions build_options;
   build_options.algorithm = algorithm;
@@ -53,11 +53,14 @@ StrategyOutcome RunStrategy(const TransactionDatabase& db,
   config.min_support_fraction = 0.01;
   config.pruner = &pruner;
   bench::MiningMeasurement with = bench::MeasureApriori(db, config, repeats);
+  OSSM_CHECK(with.result.SamePatternsAs(baseline.result))
+      << "OSSM pruning must be lossless";
 
+  uint64_t baseline_c2 = baseline.result.stats.CountedAtLevel(2);
   StrategyOutcome outcome;
   outcome.segmentation_seconds = build->stats.seconds;
   outcome.ossub_evaluations = build->stats.ossub_evaluations;
-  outcome.speedup = baseline_seconds / with.seconds;
+  outcome.speedup = baseline.seconds / with.seconds;
   outcome.c2_fraction =
       baseline_c2 == 0
           ? 1.0
@@ -75,14 +78,13 @@ void RunTable(const char* title, const char* report_prefix,
   base_config.min_support_fraction = 0.01;
   bench::MiningMeasurement baseline =
       bench::MeasureApriori(db, base_config, repeats);
-  uint64_t baseline_c2 = baseline.result.stats.CountedAtLevel(2);
+  reporter.AddPatternResults(std::string(report_prefix) + ".", baseline.result);
 
   std::printf("%s\n", title);
   TablePrinter table({"strategy", "segmentation time (s)", "ossub evals",
                       "speedup", "C2 counted"});
   for (SegmentationAlgorithm algorithm : algorithms) {
-    StrategyOutcome outcome = RunStrategy(db, algorithm, baseline.seconds,
-                                          baseline_c2, repeats);
+    StrategyOutcome outcome = RunStrategy(db, algorithm, baseline, repeats);
     table.AddRow({std::string(SegmentationAlgorithmName(algorithm)),
                   TablePrinter::FormatDouble(outcome.segmentation_seconds, 4),
                   TablePrinter::FormatCount(outcome.ossub_evaluations),
@@ -91,10 +93,10 @@ void RunTable(const char* title, const char* report_prefix,
     std::string point = std::string(report_prefix) + "." +
                         std::string(SegmentationAlgorithmName(algorithm));
     reporter.AddValue("seg_seconds." + point, outcome.segmentation_seconds);
-    reporter.AddValue("ossub_evals." + point,
-                      static_cast<double>(outcome.ossub_evaluations));
+    reporter.AddResult("ossub_evals." + point,
+                       static_cast<double>(outcome.ossub_evaluations));
     reporter.AddValue("speedup." + point, outcome.speedup);
-    reporter.AddValue("c2_fraction." + point, outcome.c2_fraction);
+    reporter.AddResult("c2_fraction." + point, outcome.c2_fraction);
   }
   table.Print(std::cout);
 }
@@ -104,10 +106,9 @@ int Run(int argc, char** argv) {
                      {"scale", "seed", "items", "repeats", "data", "report"});
   bench::BenchReporter reporter("fig5_segmentation_cost", flags);
   bool paper = flags.PaperScale();
-  uint32_t num_items =
-      static_cast<uint32_t>(flags.GetInt("items", paper ? 1000 : 400));
-  uint64_t seed = flags.GetInt("seed", 1);
-  int repeats = static_cast<int>(flags.GetInt("repeats", 2));
+  uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
+  int repeats = flags.GetInt<int>("repeats", 2);
   bool drifting = flags.GetString("data", "drifting") != "regular";
 
   // (a) pure strategies: paper used P = 500 pages (50k transactions).

@@ -29,11 +29,10 @@ int Run(int argc, char** argv) {
                                   "repeats", "data", "report"});
   bench::BenchReporter reporter("fig6_bubble_list", flags);
   bool paper = flags.PaperScale();
-  uint32_t num_items =
-      static_cast<uint32_t>(flags.GetInt("items", paper ? 1000 : 400));
-  uint64_t pages = flags.GetInt("pages", paper ? 50000 : 300);
-  uint64_t seed = flags.GetInt("seed", 1);
-  int repeats = static_cast<int>(flags.GetInt("repeats", 2));
+  uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
+  uint64_t pages = flags.GetInt<uint64_t>("pages", paper ? 50000 : 300);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
+  int repeats = flags.GetInt<int>("repeats", 2);
 
   std::printf(
       "Figure 6 — the bubble-list optimization (hybrids, n_user = 40,\n"
@@ -56,6 +55,8 @@ int Run(int argc, char** argv) {
   bench::MiningMeasurement baseline =
       bench::MeasureApriori(db, base_config, repeats);
   reporter.AddPhaseSeconds("baseline_mine", baseline.seconds);
+  reporter.AddPatternResults("", baseline.result);
+  uint64_t baseline_c2 = baseline.result.stats.CountedAtLevel(2);
 
   const std::vector<double> bubble_percents = {2.5, 5, 10, 20, 40, 60, 100};
 
@@ -89,6 +90,8 @@ int Run(int argc, char** argv) {
       config.pruner = &pruner;
       bench::MiningMeasurement with =
           bench::MeasureApriori(db, config, repeats);
+      OSSM_CHECK(with.result.SamePatternsAs(baseline.result))
+          << "OSSM pruning must be lossless";
 
       time_row.push_back(
           TablePrinter::FormatDouble(build->stats.seconds, 3));
@@ -99,6 +102,12 @@ int Run(int argc, char** argv) {
       reporter.AddValue("seg_seconds." + point, build->stats.seconds);
       reporter.AddValue("speedup." + point,
                         baseline.seconds / with.seconds);
+      reporter.AddResult(
+          "c2_fraction." + point,
+          baseline_c2 == 0
+              ? 1.0
+              : static_cast<double>(with.result.stats.CountedAtLevel(2)) /
+                    static_cast<double>(baseline_c2));
     }
     time_table.AddRow(std::move(time_row));
     speedup_table.AddRow(std::move(speedup_row));

@@ -3,12 +3,15 @@
 // structures the library actually runs them on (segment rows for the
 // min/sum family, bitmap rows for the popcount family).
 //
-// Reported values (picked up by bench_compare's direction heuristics):
-//   <kernel>_<isa>_gib_per_s    bytes touched per second, higher-is-better
+// Reported values, all measurements (bench_compare prints their deltas
+// and never gates on them):
+//   <kernel>_<isa>_gib_per_s    bytes touched per second
 //   <kernel>_<isa>_elems_per_s  elements (words) per second
 //   <kernel>_speedup            best vectorized level over scalar
 // The speedups are the acceptance numbers: min_sum and and_popcount are
-// expected >= 2x on AVX2 hardware.
+// expected >= 2x on AVX2 hardware. The harness publishes no results:
+// what a kernel computes is pinned by KernelsDifferentialTest, which holds
+// every ISA level to the scalar reference.
 
 #include <algorithm>
 #include <cstdio>
@@ -128,8 +131,8 @@ int Run(int argc, char** argv) {
   // cache hierarchy — matching real use, where segment-map rows are
   // hundreds of words. --scale=paper sizes bitmap rows instead (65536
   // words = 4M transactions), where the AND/popcount family dominates.
-  size_t n = static_cast<size_t>(flags.GetInt("elems", paper ? 65536 : 2048));
-  uint64_t seed = flags.GetInt("seed", 1);
+  size_t n = flags.GetInt<size_t>("elems", paper ? 65536 : 2048);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
 
   std::vector<Isa> isas = kernels::SupportedIsas();
   std::printf("Kernel throughput — %zu-word rows, levels:",
@@ -167,8 +170,8 @@ int Run(int argc, char** argv) {
       reporter.AddValue(kernel.name + "_" + isa_name + "_elems_per_s",
                         m.elems_per_s);
       // Microarchitectural evidence when the PMU is available: IPC per
-      // kernel/ISA and LLC misses amortized per element. Absent keys (no
-      // PMU, or that counter denied) are skipped by bench_compare.
+      // kernel/ISA and LLC misses amortized per element. The keys are
+      // absent when there is no PMU or that counter is denied.
       if (m.perf.HasIpc()) {
         reporter.AddValue(kernel.name + "_" + isa_name + "_ipc",
                           m.perf.Ipc());

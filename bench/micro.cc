@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -67,17 +68,18 @@ std::vector<Itemset> MakeSweepCandidates(const ParallelSweepConfig& config) {
 
 // One best-of-repeats timing of CountCandidates (tree build plus sharded
 // scan) on `threads` workers; the unit the sweep below and the benchmark
-// above both measure.
+// above both measure. `total` receives the sum of the counts, which must
+// not depend on the thread count.
 double TimeCountingPass(const TransactionDatabase& db,
                         std::span<const Itemset> candidates, uint32_t threads,
-                        int repeats) {
+                        int repeats, uint64_t* total) {
   parallel::SetDefaultThreadCount(threads);
   double best = 1e100;
   for (int r = 0; r < repeats; ++r) {
     WallTimer timer;
     std::vector<uint64_t> counts = CountCandidates(db, candidates);
     double elapsed = timer.ElapsedSeconds();
-    benchmark::DoNotOptimize(counts.data());
+    *total = std::accumulate(counts.begin(), counts.end(), uint64_t{0});
     if (elapsed < best) best = elapsed;
   }
   return best;
@@ -239,9 +241,10 @@ BENCHMARK(BM_ParallelHashTreeCounting)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Times the sharded counting pass at each thread count (best of `repeats`)
 // and writes the sweep to BENCH_parallel.json as a canonical RunReport —
-// the machine-checkable form of the Arg(1)-vs-Arg(4) comparison above, and
-// what the CI bench gate feeds to bench_compare. Phases are the per-thread-
-// count wall clocks; values are the speedups relative to one thread.
+// the machine-checkable form of the Arg(1)-vs-Arg(4) comparison above.
+// Phases are the per-thread-count wall clocks; values are the speedups
+// relative to one thread; the one result, `count_total`, is the sum of
+// all candidate counts, checked equal at every thread count.
 void WriteParallelSweepJson(const char* path) {
   ParallelSweepConfig config;
   TransactionDatabase db = MakeSweepDatabase(config);
@@ -258,9 +261,17 @@ void WriteParallelSweepJson(const char* path) {
   report.SetWorkload("repeats", static_cast<uint64_t>(config.repeats));
 
   double serial_seconds = 0.0;
+  uint64_t serial_total = 0;
   for (uint32_t threads : config.thread_counts) {
-    double best = TimeCountingPass(db, candidates, threads, config.repeats);
-    if (threads == 1) serial_seconds = best;
+    uint64_t total = 0;
+    double best =
+        TimeCountingPass(db, candidates, threads, config.repeats, &total);
+    if (threads == 1) {
+      serial_seconds = best;
+      serial_total = total;
+    }
+    OSSM_CHECK(total == serial_total)
+        << "counts at " << threads << " threads differ from one thread";
     report.AddPhaseSeconds("count_pass.t" + std::to_string(threads), best);
     report.AddValue("speedup.t" + std::to_string(threads),
                     serial_seconds / best);
@@ -268,6 +279,7 @@ void WriteParallelSweepJson(const char* path) {
                 threads, threads == 1 ? "" : "s", best,
                 serial_seconds / best);
   }
+  report.AddResult("count_total", static_cast<double>(serial_total));
 
   report.metrics = obs::MetricsRegistry::Global().Snapshot();
   if (Status save = obs::SaveRunReportFile(report, path); !save.ok()) {

@@ -133,15 +133,14 @@ int Run(int argc, char** argv) {
   bench::BenchReporter reporter("pruning", flags);
   bool paper = flags.PaperScale();
   uint64_t num_transactions =
-      flags.GetInt("transactions", paper ? 100000 : 30000);
-  uint32_t num_items =
-      static_cast<uint32_t>(flags.GetInt("items", paper ? 1000 : 400));
-  uint64_t seed = flags.GetInt("seed", 1);
-  int repeats = static_cast<int>(flags.GetInt("repeats", 2));
+      flags.GetInt<uint64_t>("transactions", paper ? 100000 : 30000);
+  uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
+  int repeats = flags.GetInt<int>("repeats", 2);
   // Low support is where bound pruning matters: the candidate space is
   // widest and every eliminated or derived candidate saves a counting pass.
-  double threshold =
-      static_cast<double>(flags.GetInt("support-permille", 8)) / 1000.0;
+  uint64_t support_permille = flags.GetInt<uint64_t>("support-permille", 8);
+  double threshold = static_cast<double>(support_permille) / 1000.0;
 
   std::printf(
       "Bound-combinator pruning — Apriori, %llu transactions, %u items\n"
@@ -154,8 +153,7 @@ int Run(int argc, char** argv) {
   // only bite from level 3 up (rules over singleton supports can never
   // eliminate a pair of frequent items), so the lattice must be deep enough
   // that triples and beyond are actually generated at this threshold.
-  double txn_size =
-      static_cast<double>(flags.GetInt("txn-size", num_items / 25));
+  double txn_size = flags.GetInt<uint32_t>("txn-size", num_items / 25);
   SkewedConfig gen;
   gen.num_items = num_items;
   gen.num_transactions = num_transactions;
@@ -171,8 +169,7 @@ int Run(int argc, char** argv) {
   reporter.SetWorkload("items", static_cast<uint64_t>(num_items));
   reporter.SetWorkload("seed", seed);
   reporter.SetWorkload("repeats", static_cast<uint64_t>(repeats));
-  reporter.SetWorkload("support_permille",
-                       flags.GetInt("support-permille", 8));
+  reporter.SetWorkload("support_permille", support_permille);
 
   OssmBuildOptions build_options;
   build_options.algorithm = SegmentationAlgorithm::kRandomRc;
@@ -241,21 +238,22 @@ int Run(int argc, char** argv) {
                     outcomes[3].seconds > 0.0
                         ? outcomes[0].seconds / outcomes[3].seconds
                         : 0.0);
-  reporter.AddValue("candidates_unpruned",
-                    static_cast<double>(none.TotalCandidatesCounted()));
-  reporter.AddValue("ossm_eliminated",
-                    static_cast<double>(ossm_only.TotalPrunedByBound()));
-  reporter.AddValue("ndi_eliminated",
-                    static_cast<double>(ndi_only.TotalPrunedByBound()));
-  reporter.AddValue("combined_eliminated",
-                    static_cast<double>(fused.TotalPrunedByBound()));
-  reporter.AddValue("combined_eliminated_by_ossm",
-                    static_cast<double>(fused.TotalEliminatedByOssm()));
-  reporter.AddValue("combined_eliminated_by_ndi",
-                    static_cast<double>(fused.TotalEliminatedByNdi()));
-  reporter.AddValue(
+  reporter.AddResult("candidates_unpruned",
+                     static_cast<double>(none.TotalCandidatesCounted()));
+  reporter.AddResult("ossm_eliminated",
+                     static_cast<double>(ossm_only.TotalPrunedByBound()));
+  reporter.AddResult("ndi_eliminated",
+                     static_cast<double>(ndi_only.TotalPrunedByBound()));
+  reporter.AddResult("combined_eliminated",
+                     static_cast<double>(fused.TotalPrunedByBound()));
+  reporter.AddResult("combined_eliminated_by_ossm",
+                     static_cast<double>(fused.TotalEliminatedByOssm()));
+  reporter.AddResult("combined_eliminated_by_ndi",
+                     static_cast<double>(fused.TotalEliminatedByNdi()));
+  reporter.AddResult(
       "derived_without_counting",
       static_cast<double>(fused.TotalDerivedWithoutCounting()));
+  reporter.AddPatternResults("", outcomes[0].result);
 
   std::printf(
       "\ncounting work avoided: OSSM %llu, fused %llu (+%llu); "

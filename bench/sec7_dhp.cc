@@ -49,17 +49,16 @@ int Run(int argc, char** argv) {
   bench::BenchReporter reporter("sec7_dhp", flags);
   bool paper = flags.PaperScale();
   uint64_t num_transactions =
-      flags.GetInt("transactions", paper ? 100000 : 30000);
-  uint32_t num_items =
-      static_cast<uint32_t>(flags.GetInt("items", paper ? 1000 : 400));
-  uint64_t seed = flags.GetInt("seed", 1);
-  int repeats = static_cast<int>(flags.GetInt("repeats", 2));
+      flags.GetInt<uint64_t>("transactions", paper ? 100000 : 30000);
+  uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
+  int repeats = flags.GetInt<int>("repeats", 2);
   // The paper pairs 32768 buckets with a ~125k-pair candidate space; the
   // laptop default keeps the bucket-to-candidate ratio comparable so that
   // hash collisions — the artifact the OSSM removes on top of DHP — occur
   // at a similar rate.
-  uint32_t num_buckets = static_cast<uint32_t>(
-      flags.GetInt("buckets", paper ? 32768 : 2048));
+  uint32_t num_buckets =
+      flags.GetInt<uint32_t>("buckets", paper ? 32768 : 2048);
 
   std::printf(
       "Section 7 — DHP with and without the OSSM\n"
@@ -108,12 +107,13 @@ int Run(int argc, char** argv) {
   reporter.AddPhaseSeconds("dhp_plain", plain.seconds);
   reporter.AddPhaseSeconds("dhp_ossm", assisted.seconds);
   reporter.AddValue("speedup", plain.seconds / assisted.seconds);
-  reporter.AddValue("c2_plain", static_cast<double>(plain.c2));
-  reporter.AddValue("c2_ossm", static_cast<double>(assisted.c2));
-  reporter.AddValue("c2_reduction",
-                    assisted.c2 == 0 ? 0.0
-                                     : static_cast<double>(plain.c2) /
-                                           static_cast<double>(assisted.c2));
+  reporter.AddResult("c2_plain", static_cast<double>(plain.c2));
+  reporter.AddResult("c2_ossm", static_cast<double>(assisted.c2));
+  reporter.AddResult("c2_reduction",
+                     assisted.c2 == 0 ? 0.0
+                                      : static_cast<double>(plain.c2) /
+                                            static_cast<double>(assisted.c2));
+  reporter.AddPatternResults("", plain.result);
 
   TablePrinter table({"algorithm", "runtime (s)", "no. of C2"});
   table.AddRow({"DHP without the OSSM",

@@ -15,11 +15,12 @@
 // StreamingIngest writer after an uncommitted Flush and verifies the store
 // reopens on its committed prefix (crash_reopen_ok).
 //
-// Reported values: per-phase seconds plus perf/res deltas come from the
-// ScopedPhase machinery (res.<phase>.minor_faults / major_faults are the
-// paging story); mmap_bytes_mapped / mmap_bytes_resident are descriptive
-// (neutral direction); heap_serve_qps / mmap_serve_qps higher-is-better;
-// crash_reopen_ok and results_identical must stay 1.
+// Report: per-phase seconds plus perf/res deltas come from the ScopedPhase
+// machinery (res.<phase>.minor_faults / major_faults are the paging
+// story); heap_serve_qps, mmap_serve_qps and mmap_bytes_resident are
+// measured values. The results (frequent_itemsets, mmap_bytes_mapped,
+// mmap_live_stores, the enforced cap, and crash_reopen_ok and
+// results_identical, which must stay 1) are the same on every run.
 //
 // The default (flagless) run auto-sizes the collection to
 // --multiple x --mem-cap-mb, i.e. a dataset ~4x larger than the enforced
@@ -230,9 +231,9 @@ BackendOutcome RunBackend(bench::BenchReporter& reporter,
       mapped += store.file_bytes;
       resident += store.resident_bytes;
     }
-    reporter.AddValue("mmap_bytes_mapped", static_cast<double>(mapped));
+    reporter.AddResult("mmap_bytes_mapped", static_cast<double>(mapped));
     reporter.AddValue("mmap_bytes_resident", static_cast<double>(resident));
-    reporter.AddValue(
+    reporter.AddResult(
         "mmap_live_stores",
         static_cast<double>(storage::LiveStores().size()));
   }
@@ -308,15 +309,16 @@ int Run(int argc, char** argv) {
                      {"scale", "seed", "transactions", "items", "mem-cap-mb",
                       "multiple", "threshold-permille", "queries", "report"});
   bench::BenchReporter reporter("storage", flags);
-  uint64_t seed = flags.GetInt("seed", 1);
-  uint32_t num_items = static_cast<uint32_t>(flags.GetInt("items", 200));
-  uint64_t mem_cap_mb = flags.GetInt("mem-cap-mb", 24);
-  uint64_t multiple = flags.GetInt("multiple", 4);
-  uint64_t threshold_permille = flags.GetInt("threshold-permille", 10);
-  uint64_t num_queries = flags.GetInt("queries", 4000);
+  uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
+  uint32_t num_items = flags.GetInt<uint32_t>("items", 200);
+  uint64_t mem_cap_mb = flags.GetInt<uint64_t>("mem-cap-mb", 24);
+  uint64_t multiple = flags.GetInt<uint64_t>("multiple", 4);
+  uint64_t threshold_permille =
+      flags.GetInt<uint64_t>("threshold-permille", 10);
+  uint64_t num_queries = flags.GetInt<uint64_t>("queries", 4000);
   // 0 = auto-size the collection to `multiple` x the memory cap; CI and
   // the baselines pin a small count for a seconds-scale smoke.
-  uint64_t fixed_transactions = flags.GetInt("transactions", 0);
+  uint64_t fixed_transactions = flags.GetInt<uint64_t>("transactions", 0);
 
   const uint64_t cap_bytes = mem_cap_mb << 20;
   const uint64_t target_csr_bytes = multiple * cap_bytes;
@@ -398,8 +400,8 @@ int Run(int argc, char** argv) {
     capped.rlim_cur = saved.rlim_max;
   }
   OSSM_CHECK(::setrlimit(RLIMIT_DATA, &capped) == 0);
-  reporter.AddValue("mem_cap_enforced_bytes",
-                    static_cast<double>(cap_bytes));
+  reporter.AddResult("mem_cap_enforced_bytes",
+                     static_cast<double>(cap_bytes));
   BackendOutcome mmap_outcome =
       RunBackend(reporter, storage::Backend::kMmap, "mmap", text_path,
                  num_items, min_support, stream);
@@ -428,12 +430,12 @@ int Run(int argc, char** argv) {
       static_cast<unsigned long long>(heap_outcome.frequent_itemsets),
       heap_outcome.serve_qps, mmap_outcome.serve_qps);
 
-  reporter.AddValue("frequent_itemsets",
-                    static_cast<double>(heap_outcome.frequent_itemsets));
+  reporter.AddResult("frequent_itemsets",
+                     static_cast<double>(heap_outcome.frequent_itemsets));
   reporter.AddValue("heap_serve_qps", heap_outcome.serve_qps);
   reporter.AddValue("mmap_serve_qps", mmap_outcome.serve_qps);
-  reporter.AddValue("results_identical", 1.0);
-  reporter.AddValue("crash_reopen_ok", crash_ok ? 1.0 : 0.0);
+  reporter.AddResult("results_identical", 1.0);
+  reporter.AddResult("crash_reopen_ok", crash_ok ? 1.0 : 0.0);
   return reporter.Finish();
 }
 

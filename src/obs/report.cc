@@ -1,6 +1,5 @@
 #include "obs/report.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -21,14 +20,20 @@ namespace obs {
 
 namespace {
 
-constexpr std::string_view kSpanPrefix = "span.";
-
-// %.6g everywhere a double lands in JSON: enough for microsecond-level
-// wall-clock and stable under a parse/serialize round trip (6 significant
-// digits re-print to the same string).
+// %.6g for measurements: enough for microsecond-level wall-clock and
+// stable under a parse/serialize round trip (6 significant digits re-print
+// to the same string).
 std::string FormatDouble(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+  return buffer;
+}
+
+// %.17g for results: 17 significant digits re-parse to the same double, so
+// the exact comparison sees what the run produced.
+std::string FormatExact(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   return buffer;
 }
 
@@ -109,6 +114,10 @@ void RunReport::AddValue(std::string value_name, double value) {
   values.emplace_back(std::move(value_name), value);
 }
 
+void RunReport::AddResult(std::string result_name, double value) {
+  results.emplace_back(std::move(result_name), value);
+}
+
 RunReport MakeRunReport(std::string run_name) {
   RunReport report;
   report.name = std::move(run_name);
@@ -140,23 +149,20 @@ void WriteRunReport(const RunReport& report, std::ostream& os) {
   }
   os << (first ? "" : "\n  ") << "},\n";
 
-  os << "  \"phases\": {";
-  first = true;
-  for (const auto& [name, seconds] : report.phases) {
-    os << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-       << "\": " << FormatDouble(seconds);
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n";
-
-  os << "  \"values\": {";
-  first = true;
-  for (const auto& [name, value] : report.values) {
-    os << (first ? "\n" : ",\n") << "    \"" << JsonEscape(name)
-       << "\": " << FormatDouble(value);
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n";
+  auto write_numbers = [&os](std::string_view section, const auto& entries,
+                             std::string (*format)(double)) {
+    os << "  \"" << section << "\": {";
+    const char* separator = "\n";
+    for (const auto& [name, value] : entries) {
+      os << separator << "    \"" << JsonEscape(name)
+         << "\": " << format(value);
+      separator = ",\n";
+    }
+    os << (entries.empty() ? "" : "\n  ") << "},\n";
+  };
+  write_numbers("phases", report.phases, FormatDouble);
+  write_numbers("values", report.values, FormatDouble);
+  write_numbers("results", report.results, FormatExact);
 
   os << "  \"metrics\": ";
   WriteMetricsJsonObject(report.metrics, os, 2);
@@ -260,6 +266,11 @@ StatusOr<RunReport> ParseRunReport(std::string_view json_text) {
   if (!values.ok()) return values.status();
   report.values = std::move(*values);
 
+  StatusOr<std::vector<std::pair<std::string, double>>> results =
+      ReadNumberMap(root, "results");
+  if (!results.ok()) return results.status();
+  report.results = std::move(*results);
+
   if (const json::Value* metrics = root.Find("metrics")) {
     if (!metrics->is_object()) {
       return MalformedField("metrics", "is not an object");
@@ -339,181 +350,17 @@ Status SaveRunReportFile(const RunReport& report, const std::string& path) {
 // ---------------------------------------------------------------------------
 // Comparison.
 
+namespace {
+
 std::string_view MetricVerdictName(MetricVerdict verdict) {
   switch (verdict) {
-    case MetricVerdict::kImprovement: return "improvement";
-    case MetricVerdict::kNoise: return "noise";
-    case MetricVerdict::kRegression: return "REGRESSION";
+    case MetricVerdict::kSame: return "same";
+    case MetricVerdict::kDiffers: return "DIFFERS";
     case MetricVerdict::kMissing: return "MISSING";
     case MetricVerdict::kNew: return "new";
+    case MetricVerdict::kMeasured: return "measured";
   }
   return "unknown";
-}
-
-namespace {
-
-bool Contains(std::string_view name, std::string_view needle) {
-  return name.find(needle) != std::string_view::npos;
-}
-
-}  // namespace
-
-bool IsPerfMetric(std::string_view metric_name) {
-  return metric_name.starts_with("perf.") ||
-         metric_name.starts_with("perf_") ||
-         metric_name.starts_with("res.") ||
-         Contains(metric_name, "_ipc") || Contains(metric_name, "llc_miss");
-}
-
-MetricDirection DirectionForCounter(std::string_view counter_name) {
-  // Scheduling-dependent pool counters move with machine load, not with the
-  // code under test.
-  if (counter_name.starts_with("pool.")) return MetricDirection::kNeutral;
-  // Raw hardware-counter and resource accumulations (perf.<phase>.cycles,
-  // res.<phase>.minor_faults, ...) scale with how long the phase ran on
-  // this machine today; gating happens on the derived report values (ipc,
-  // llc_miss_per_elem) instead.
-  if (counter_name.starts_with("perf.") || counter_name.starts_with("res.")) {
-    return MetricDirection::kNeutral;
-  }
-  // Storage counters measure IO work — commits, msync calls, bytes synced,
-  // torn tails repaired, WAL pages replayed; fewer is better. Mapping and
-  // residency gauges only say where bytes live: an mmap run legitimately
-  // maps more while keeping less resident, so they never gate.
-  if (counter_name.starts_with("storage.")) {
-    if (Contains(counter_name, "resident") ||
-        Contains(counter_name, "mapped") ||
-        Contains(counter_name, "live_stores")) {
-      return MetricDirection::kNeutral;
-    }
-    return MetricDirection::kLowerIsBetter;
-  }
-  // Page faults (major or minor) outside the neutral res.* namespace are
-  // IO stalls.
-  if (Contains(counter_name, "fault")) {
-    return MetricDirection::kLowerIsBetter;
-  }
-  if (Contains(counter_name, "pruned") ||
-      Contains(counter_name, "cache_hits") ||
-      Contains(counter_name, "abandoned") ||
-      Contains(counter_name, "eliminated") ||
-      Contains(counter_name, "derived")) {
-    // Abandoned joins are merges cut short — avoided work, like prunes;
-    // eliminated candidates and derived supports are counting passes never
-    // paid for.
-    return MetricDirection::kHigherIsBetter;
-  }
-  // The typical instruments — candidates counted, bytes/pages read, bound
-  // evaluations — all measure work.
-  return MetricDirection::kLowerIsBetter;
-}
-
-MetricDirection DirectionForValue(std::string_view value_name) {
-  // Latency percentiles and queueing metrics measure waiting; they win over
-  // any other token the name carries (e.g. the cache tier's p99 must not
-  // inherit the cache-hit higher-is-better rule).
-  if (Contains(value_name, "_p50_us") || Contains(value_name, "_p95_us") ||
-      Contains(value_name, "_p99_us") || Contains(value_name, "queue_wait") ||
-      Contains(value_name, "queue_depth")) {
-    return MetricDirection::kLowerIsBetter;
-  }
-  // Mapping and residency sizes are descriptive, not work: heap-vs-mmap
-  // runs differ here by design.
-  if (Contains(value_name, "resident") || Contains(value_name, "mapped")) {
-    return MetricDirection::kNeutral;
-  }
-  // Hardware-counter rates: misses and faults are waste (checked before
-  // the higher-is-better block so llc_miss_per_elem never reads as a
-  // throughput); IPC is useful work per cycle.
-  if (Contains(value_name, "miss") || Contains(value_name, "fault")) {
-    return MetricDirection::kLowerIsBetter;
-  }
-  if (Contains(value_name, "speedup") || Contains(value_name, "throughput") ||
-      Contains(value_name, "per_sec") || Contains(value_name, "pruned") ||
-      Contains(value_name, "qps") || Contains(value_name, "hit_ratio") ||
-      Contains(value_name, "gib_per_s") ||
-      Contains(value_name, "elems_per_s") ||
-      Contains(value_name, "_ipc") || Contains(value_name, "eliminated") ||
-      Contains(value_name, "derived")) {
-    return MetricDirection::kHigherIsBetter;
-  }
-  if (Contains(value_name, "seconds") || Contains(value_name, "_us") ||
-      Contains(value_name, "_ms") || Contains(value_name, "time")) {
-    return MetricDirection::kLowerIsBetter;
-  }
-  return MetricDirection::kNeutral;
-}
-
-namespace {
-
-std::string FormatPercent(double rel) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%+.1f%%", rel * 100.0);
-  return buffer;
-}
-
-MetricComparison ClassifyTime(std::string metric, double baseline,
-                              double candidate,
-                              const CompareOptions& options) {
-  MetricComparison row;
-  row.metric = std::move(metric);
-  row.baseline = baseline;
-  row.candidate = candidate;
-  double base = std::max(std::abs(baseline), 1e-12);
-  row.rel_delta = (candidate - baseline) / base;
-  if (std::max(baseline, candidate) < options.time_floor_seconds) {
-    row.verdict = MetricVerdict::kNoise;
-    row.detail = "under " + FormatDouble(options.time_floor_seconds) +
-                 "s floor";
-    return row;
-  }
-  if (row.rel_delta > options.time_rel_threshold) {
-    row.verdict = MetricVerdict::kRegression;
-    row.detail = FormatPercent(row.rel_delta) + " slower";
-  } else if (row.rel_delta < -options.time_rel_threshold) {
-    row.verdict = MetricVerdict::kImprovement;
-    row.detail = FormatPercent(row.rel_delta) + " faster";
-  } else {
-    row.verdict = MetricVerdict::kNoise;
-    row.detail = "within " + FormatPercent(options.time_rel_threshold);
-  }
-  return row;
-}
-
-MetricComparison ClassifyDirected(std::string metric, double baseline,
-                                  double candidate, double rel_threshold,
-                                  MetricDirection direction) {
-  MetricComparison row;
-  row.metric = std::move(metric);
-  row.baseline = baseline;
-  row.candidate = candidate;
-  // Relative to the baseline's own magnitude: ratio-scale metrics (IPC,
-  // misses per element, hit ratios) live well below 1.0, and a 1.0 floor
-  // would mute even a 5x swing in them into noise. The floor only guards
-  // a zero baseline.
-  double base = std::abs(baseline) > 0.0 ? std::abs(baseline) : 1.0;
-  row.rel_delta = (candidate - baseline) / base;
-  if (baseline == candidate) {
-    row.verdict = MetricVerdict::kNoise;
-    row.detail = "identical";
-    return row;
-  }
-  if (direction == MetricDirection::kNeutral ||
-      std::abs(row.rel_delta) <= rel_threshold) {
-    row.verdict = MetricVerdict::kNoise;
-    row.detail = direction == MetricDirection::kNeutral
-                     ? "neutral metric, " + FormatPercent(row.rel_delta)
-                     : "within " + FormatPercent(rel_threshold);
-    return row;
-  }
-  bool went_up = row.rel_delta > 0;
-  bool worse = direction == MetricDirection::kLowerIsBetter ? went_up
-                                                            : !went_up;
-  row.verdict = worse ? MetricVerdict::kRegression
-                      : MetricVerdict::kImprovement;
-  row.detail = FormatPercent(row.rel_delta) +
-               (worse ? " in the wrong direction" : " in the right direction");
-  return row;
 }
 
 const double* FindMetric(
@@ -528,8 +375,7 @@ const double* FindMetric(
 }  // namespace
 
 ReportComparison CompareReports(const RunReport& baseline,
-                                const RunReport& candidate,
-                                const CompareOptions& options) {
+                                const RunReport& candidate) {
   ReportComparison comparison;
 
   if (baseline.name != candidate.name) {
@@ -554,125 +400,43 @@ ReportComparison CompareReports(const RunReport& baseline,
     }
   }
 
-  auto add_row = [&comparison](MetricComparison row) {
-    switch (row.verdict) {
-      case MetricVerdict::kRegression: ++comparison.regressions; break;
-      case MetricVerdict::kImprovement: ++comparison.improvements; break;
-      case MetricVerdict::kMissing: ++comparison.missing; break;
-      case MetricVerdict::kNew: ++comparison.new_metrics; break;
-      default: break;
-    }
-    comparison.rows.push_back(std::move(row));
-  };
-  // Perf-counter metrics vanish whenever the candidate ran somewhere the
-  // PMU is denied (most CI containers); that is the documented degraded
-  // mode, not a regression, so those rows never count as missing even
-  // under --fail-on-missing.
-  auto missing_row = [](std::string metric, std::string_view raw_name,
-                        double base) {
-    MetricComparison row;
-    row.metric = std::move(metric);
-    row.baseline = base;
-    if (IsPerfMetric(raw_name)) {
-      row.verdict = MetricVerdict::kNoise;
-      row.detail = "perf counters unavailable in the candidate";
-    } else {
-      row.verdict = MetricVerdict::kMissing;
-      row.detail = "absent from the candidate";
-    }
-    return row;
-  };
-  auto new_row = [](std::string metric, double cand) {
-    MetricComparison row;
-    row.metric = std::move(metric);
-    row.candidate = cand;
-    row.verdict = MetricVerdict::kNew;
-    row.detail = "absent from the baseline";
-    return row;
-  };
-
-  // Phases: the primary wall-clock axis.
-  for (const auto& [name, seconds] : baseline.phases) {
-    const double* other = FindMetric(candidate.phases, name);
-    if (other == nullptr) {
-      add_row(missing_row("phase." + name, name, seconds));
-    } else {
-      add_row(ClassifyTime("phase." + name, seconds, *other, options));
-    }
-  }
-  for (const auto& [name, seconds] : candidate.phases) {
-    if (FindMetric(baseline.phases, name) == nullptr) {
-      add_row(new_row("phase." + name, seconds));
-    }
-  }
-
-  // Headline values.
-  for (const auto& [name, value] : baseline.values) {
-    const double* other = FindMetric(candidate.values, name);
-    if (other == nullptr) {
-      add_row(missing_row("value." + name, name, value));
-    } else {
-      add_row(ClassifyDirected("value." + name, value, *other,
-                               options.value_rel_threshold,
-                               DirectionForValue(name)));
-    }
-  }
-  for (const auto& [name, value] : candidate.values) {
-    if (FindMetric(baseline.values, name) == nullptr) {
-      add_row(new_row("value." + name, value));
-    }
-  }
-
-  // Counters: the deterministic cross-run axis (candidate/prune counts).
-  auto find_counter = [](const MetricsSnapshot& snapshot,
-                         std::string_view name) -> const uint64_t* {
-    for (const auto& [key, value] : snapshot.counters) {
-      if (key == name) return &value;
-    }
-    return nullptr;
-  };
-  for (const auto& [name, value] : baseline.metrics.counters) {
-    const uint64_t* other = find_counter(candidate.metrics, name);
-    if (other == nullptr) {
-      add_row(missing_row("counter." + name, name,
-                          static_cast<double>(value)));
-    } else {
-      add_row(ClassifyDirected("counter." + name, static_cast<double>(value),
-                               static_cast<double>(*other),
-                               options.count_rel_threshold,
-                               DirectionForCounter(name)));
-    }
-  }
-  for (const auto& [name, value] : candidate.metrics.counters) {
-    if (find_counter(baseline.metrics, name) == nullptr) {
-      add_row(new_row("counter." + name, static_cast<double>(value)));
-    }
-  }
-
-  if (options.include_span_totals) {
-    auto find_histogram =
-        [](const MetricsSnapshot& snapshot,
-           std::string_view name) -> const HistogramSnapshot* {
-      for (const auto& [key, value] : snapshot.histograms) {
-        if (key == name) return &value;
-      }
-      return nullptr;
-    };
-    for (const auto& [name, h] : baseline.metrics.histograms) {
-      if (!name.starts_with(kSpanPrefix)) continue;
-      std::string metric = name + ".total_us";
-      const HistogramSnapshot* other = find_histogram(candidate.metrics, name);
-      if (other == nullptr) {
-        add_row(missing_row(std::move(metric), name,
-                            static_cast<double>(h.sum)));
+  auto compare = [&comparison](
+                     std::string_view section,
+                     const std::vector<std::pair<std::string, double>>& base,
+                     const std::vector<std::pair<std::string, double>>& cand,
+                     bool exact) {
+    for (const auto& [name, value] : base) {
+      MetricComparison row;
+      row.metric = std::string(section) + "." + name;
+      row.baseline = value;
+      const double* other = FindMetric(cand, name);
+      if (other != nullptr) row.candidate = *other;
+      if (!exact) {
+        row.verdict = MetricVerdict::kMeasured;
+      } else if (other == nullptr) {
+        row.verdict = MetricVerdict::kMissing;
+        ++comparison.missing;
+      } else if (*other == value) {
+        row.verdict = MetricVerdict::kSame;
       } else {
-        add_row(ClassifyTime(std::move(metric),
-                             static_cast<double>(h.sum) * 1e-6,
-                             static_cast<double>(other->sum) * 1e-6, options));
+        row.verdict = MetricVerdict::kDiffers;
+        ++comparison.differing;
       }
+      comparison.rows.push_back(std::move(row));
     }
-  }
-
+    for (const auto& [name, value] : cand) {
+      if (FindMetric(base, name) != nullptr) continue;
+      MetricComparison row;
+      row.metric = std::string(section) + "." + name;
+      row.candidate = value;
+      row.verdict = MetricVerdict::kNew;
+      if (exact) ++comparison.new_results;
+      comparison.rows.push_back(std::move(row));
+    }
+  };
+  compare("result", baseline.results, candidate.results, /*exact=*/true);
+  compare("phase", baseline.phases, candidate.phases, /*exact=*/false);
+  compare("value", baseline.values, candidate.values, /*exact=*/false);
   return comparison;
 }
 
@@ -682,29 +446,39 @@ void PrintComparison(const ReportComparison& comparison, std::ostream& os) {
   }
   if (!comparison.notes.empty()) os << "\n";
 
-  TablePrinter table(
-      {"metric", "baseline", "candidate", "delta", "verdict", "detail"});
+  TablePrinter table({"metric", "baseline", "candidate", "delta", "verdict"});
+  size_t results = 0;
+  size_t measurements = 0;
   for (const MetricComparison& row : comparison.rows) {
-    bool has_both = row.verdict != MetricVerdict::kMissing &&
-                    row.verdict != MetricVerdict::kNew;
-    table.AddRow({row.metric,
-                  row.verdict == MetricVerdict::kNew ? "-"
-                                                     : FormatDouble(row.baseline),
-                  row.verdict == MetricVerdict::kMissing
-                      ? "-"
-                      : FormatDouble(row.candidate),
-                  has_both ? FormatPercent(row.rel_delta) : "-",
-                  std::string(MetricVerdictName(row.verdict)), row.detail});
+    bool is_result = row.metric.starts_with("result.");
+    if (!is_result) {
+      ++measurements;
+    } else if (row.baseline) {
+      ++results;
+    }
+    auto format = [is_result](const std::optional<double>& side) {
+      if (!side) return std::string("-");
+      return is_result ? FormatExact(*side) : FormatDouble(*side);
+    };
+    std::string delta = "-";
+    if (row.baseline && row.candidate && *row.baseline != 0.0) {
+      char buffer[32];
+      std::snprintf(buffer, sizeof(buffer), "%+.1f%%",
+                    (*row.candidate - *row.baseline) /
+                        std::abs(*row.baseline) * 100.0);
+      delta = buffer;
+    }
+    table.AddRow({row.metric, format(row.baseline), format(row.candidate),
+                  delta, std::string(MetricVerdictName(row.verdict))});
   }
   table.Print(os);
   os << "\n"
-     << comparison.rows.size() << " metrics compared: "
-     << comparison.regressions << " regressions, " << comparison.improvements
-     << " improvements, " << comparison.missing << " missing";
-  if (comparison.new_metrics > 0) {
-    os << ", " << comparison.new_metrics << " new (not gated)";
+     << results << " results compared: " << comparison.differing
+     << " differ, " << comparison.missing << " missing";
+  if (comparison.new_results > 0) {
+    os << ", " << comparison.new_results << " new (not gated)";
   }
-  os << "\n";
+  os << "; " << measurements << " phases and values reported, not gated\n";
 }
 
 }  // namespace obs

@@ -5,13 +5,15 @@
 // measurement run, written by every bench harness (BENCH_<name>.json) and
 // by `ossm_cli --report=<path>`. A report carries enough context to be
 // compared across commits and machines — environment, workload identity,
-// per-phase wall-clock, headline result values, and a full metrics-registry
-// snapshot — and `CompareReports` classifies the differences between two of
-// them as improvement / noise / regression, which is what the
-// `bench_compare` tool and the CI perf gate run on.
+// per-phase wall-clock, measured values, deterministic results, and a full
+// metrics-registry snapshot. `CompareReports` applies one rule to two of
+// them: every baseline result must reappear in the candidate unchanged;
+// phases and values are measurements, printed with their delta and never
+// gated. That rule is what the `bench_compare` tool and the CI gate run.
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -29,7 +31,8 @@ namespace obs {
 // documents with a NEWER version than they were built against.
 // Version 2 dropped metrics.spans, which repeated every span.* histogram;
 // version-1 documents still parse and their "spans" object is ignored.
-inline constexpr int kRunReportSchemaVersion = 2;
+// Version 3 added "results"; version-1 and -2 documents parse with none.
+inline constexpr int kRunReportSchemaVersion = 3;
 
 // Where the numbers came from: enough to judge whether two reports are
 // comparable, and to bisect a shift to a commit or a machine change.
@@ -54,9 +57,13 @@ struct RunReport {
   std::map<std::string, std::string> workload;
   // Per-phase wall-clock seconds, in execution order.
   std::vector<std::pair<std::string, double>> phases;
-  // Headline scalar results (speedups, fractions, sweep points), in
-  // insertion order.
+  // Measured scalars (speedups, throughputs, hardware-counter rates), in
+  // insertion order. Like phases, they move from run to run.
   std::vector<std::pair<std::string, double>> values;
+  // Deterministic outputs (pattern counts, C2 fractions, ossub
+  // evaluations, n_min), in insertion order. A result is the same at any
+  // OSSM_THREADS, ISA and storage backend, so it is compared exactly.
+  std::vector<std::pair<std::string, double>> results;
   MetricsSnapshot metrics;
 
   void SetWorkload(std::string key, std::string value);
@@ -66,6 +73,7 @@ struct RunReport {
   // phase run in a loop reports its total).
   void AddPhaseSeconds(std::string phase, double seconds);
   void AddValue(std::string value_name, double value);
+  void AddResult(std::string result_name, double value);
 };
 
 // A report named `run_name` with the current environment captured. Call
@@ -74,89 +82,52 @@ RunReport MakeRunReport(std::string run_name);
 
 // Serialization. The JSON layout is part of the golden-file contract:
 // fixed top-level key order (schema_version, name, environment, workload,
-// phases, values, metrics), sorted keys inside environment/workload/metrics,
-// insertion order inside phases/values.
+// phases, values, results, metrics), sorted keys inside
+// environment/workload/metrics, insertion order inside phases, values and
+// results. Phases and values print with %.6g; results print with %.17g,
+// which re-parses to the same double (and writes integers below 1e17 in
+// full), so an exact comparison survives the file.
 void WriteRunReport(const RunReport& report, std::ostream& os);
 StatusOr<RunReport> ParseRunReport(std::string_view json_text);
 StatusOr<RunReport> LoadRunReportFile(const std::string& path);
 Status SaveRunReportFile(const RunReport& report, const std::string& path);
 
 // ---------------------------------------------------------------------------
-// Report comparison (the benchmark-regression gate).
+// Report comparison (the regression gate).
 
 enum class MetricVerdict {
-  kImprovement,
-  kNoise,       // within thresholds, under the absolute floor, or neutral
-  kRegression,
-  kMissing,     // in the baseline, absent from the candidate
-  kNew,         // in the candidate only; informational
-};
-std::string_view MetricVerdictName(MetricVerdict verdict);
-
-// Which way a metric is allowed to move. Times (phases, span totals) are
-// lower-is-better; counters default to lower-is-better ("candidates
-// counted", "bytes read") with name-based exceptions ("pruned" counters are
-// higher-is-better and "pool." scheduling counters are neutral); free-form
-// values are classified by name ("seconds"/"_us" lower, "speedup"/
-// "throughput" higher, otherwise neutral). Neutral metrics never gate.
-enum class MetricDirection { kLowerIsBetter, kHigherIsBetter, kNeutral };
-MetricDirection DirectionForCounter(std::string_view counter_name);
-MetricDirection DirectionForValue(std::string_view value_name);
-
-// True for hardware-counter and resource-accounting metrics (perf.* / res.*
-// registry counters, perf_* report values, *_ipc, *llc_miss*). These are
-// environment-dependent: they disappear entirely when a run lands on a
-// machine that denies perf_event_open, so a baseline-present/candidate-
-// absent perf metric is classified as noise ("perf counters unavailable"),
-// never as MISSING — committed baselines made on PMU machines must not
-// fail --fail-on-missing gates in locked-down CI containers.
-bool IsPerfMetric(std::string_view metric_name);
-
-struct CompareOptions {
-  // Relative thresholds: |candidate - baseline| / baseline beyond which a
-  // time / counter / value difference is not noise.
-  double time_rel_threshold = 0.10;
-  double count_rel_threshold = 0.02;
-  double value_rel_threshold = 0.10;
-  // Min-absolute-time floor: phases where both runs are faster than this
-  // are classified as noise regardless of ratio — micro-phases jitter by
-  // integer factors without meaning anything.
-  double time_floor_seconds = 0.050;
-  // Also compare per-span total_us from the metrics snapshot (off by
-  // default: phases already cover the intended comparison axis and span
-  // totals double-count them).
-  bool include_span_totals = false;
+  kSame,      // a result equal in both reports
+  kDiffers,   // a result whose candidate value differs: fails the gate
+  kMissing,   // a baseline result absent from the candidate: fails the gate
+  kNew,       // in the candidate only: informational
+  kMeasured,  // a phase or value: printed with its delta, never gates
 };
 
 struct MetricComparison {
-  std::string metric;  // "phase.<name>", "counter.<name>", "value.<name>"
-  double baseline = 0.0;
-  double candidate = 0.0;
-  double rel_delta = 0.0;  // (candidate - baseline) / |baseline|
-  MetricVerdict verdict = MetricVerdict::kNoise;
-  std::string detail;  // human-readable reason for the verdict
+  std::string metric;  // "result.<name>", "phase.<name>" or "value.<name>"
+  std::optional<double> baseline;   // empty for kNew
+  std::optional<double> candidate;  // empty when the candidate lacks it
+  MetricVerdict verdict = MetricVerdict::kMeasured;
 };
 
 struct ReportComparison {
   std::vector<MetricComparison> rows;
-  // Non-gating observations: schema/workload/thread-count mismatches that
-  // make the comparison suspect.
+  // Non-gating observations: name, workload and thread-count mismatches
+  // that make the comparison suspect.
   std::vector<std::string> notes;
-  int regressions = 0;
-  int improvements = 0;
+  int differing = 0;
   int missing = 0;
-  // Candidate-only metrics: informational, never gate (a freshly added
-  // instrument must not fail against an older committed baseline).
-  int new_metrics = 0;
+  // Candidate-only results: informational, never gate (a freshly added
+  // result must not fail against an older committed baseline).
+  int new_results = 0;
 
-  bool ShouldFail(bool fail_on_missing) const {
-    return regressions > 0 || (fail_on_missing && missing > 0);
-  }
+  bool ShouldFail() const { return differing > 0 || missing > 0; }
 };
 
+// Results gate exactly; phases and values are reported; registry counters
+// and span histograms are not compared.
 ReportComparison CompareReports(const RunReport& baseline,
-                                const RunReport& candidate,
-                                const CompareOptions& options);
+                                const RunReport& candidate);
 
 // Renders the comparison as an aligned table (plus notes and a summary
 // line), the same shape the bench harnesses print.

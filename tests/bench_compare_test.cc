@@ -14,6 +14,7 @@ RunReport BaseReport() {
   report.name = "bench.unit";
   report.environment.threads = 4;
   report.AddPhaseSeconds("mine", 2.0);
+  report.AddResult("c2_plain", 813);
   return report;
 }
 
@@ -25,345 +26,132 @@ const MetricComparison* FindRow(const ReportComparison& comparison,
   return nullptr;
 }
 
+std::string Printed(const ReportComparison& comparison) {
+  std::ostringstream out;
+  PrintComparison(comparison, out);
+  return out.str();
+}
+
 TEST(BenchCompareTest, IdenticalReportsAreCleanAndExitZero) {
   RunReport report = BaseReport();
   report.AddValue("speedup", 3.0);
   report.metrics.counters = {{"apriori.candidates_counted", 1000}};
-  ReportComparison comparison =
-      CompareReports(report, report, CompareOptions());
-  EXPECT_EQ(comparison.regressions, 0);
-  EXPECT_EQ(comparison.improvements, 0);
+  ReportComparison comparison = CompareReports(report, report);
+  EXPECT_EQ(comparison.differing, 0);
   EXPECT_EQ(comparison.missing, 0);
-  EXPECT_FALSE(comparison.ShouldFail(/*fail_on_missing=*/true));
+  EXPECT_EQ(FindRow(comparison, "result.c2_plain")->verdict,
+            MetricVerdict::kSame);
+  EXPECT_FALSE(comparison.ShouldFail());
 }
 
-TEST(BenchCompareTest, TwoXSlowdownIsRegressionAndFailsGate) {
+TEST(BenchCompareTest, ResultOffByOneUnitFailsTheGate) {
   RunReport baseline = BaseReport();
   RunReport candidate = BaseReport();
-  candidate.phases[0].second = 4.0;  // 2.0s -> 4.0s
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  const MetricComparison* row = FindRow(comparison, "phase.mine");
+  candidate.results[0].second = 812;
+  ReportComparison comparison = CompareReports(baseline, candidate);
+  const MetricComparison* row = FindRow(comparison, "result.c2_plain");
   ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->verdict, MetricVerdict::kRegression);
-  EXPECT_EQ(comparison.regressions, 1);
-  EXPECT_TRUE(comparison.ShouldFail(/*fail_on_missing=*/false));
+  EXPECT_EQ(row->verdict, MetricVerdict::kDiffers);
+  EXPECT_EQ(comparison.differing, 1);
+  EXPECT_TRUE(comparison.ShouldFail());
+  EXPECT_NE(Printed(comparison).find("DIFFERS"), std::string::npos);
 }
 
-TEST(BenchCompareTest, SpeedupIsImprovementNotFailure) {
+TEST(BenchCompareTest, FractionalResultsCompareExactly) {
+  RunReport baseline = BaseReport();
+  baseline.AddResult("c2_fraction.Greedy.n40", 0.58228);
+  RunReport candidate = BaseReport();
+  candidate.AddResult("c2_fraction.Greedy.n40", 0.58228 + 1e-12);
+  EXPECT_TRUE(CompareReports(baseline, candidate).ShouldFail());
+}
+
+TEST(BenchCompareTest, MissingResultFailsTheGate) {
   RunReport baseline = BaseReport();
   RunReport candidate = BaseReport();
-  candidate.phases[0].second = 1.0;  // 2x faster
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  const MetricComparison* row = FindRow(comparison, "phase.mine");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->verdict, MetricVerdict::kImprovement);
-  EXPECT_FALSE(comparison.ShouldFail(false));
-}
-
-TEST(BenchCompareTest, WithinRelativeThresholdIsNoise) {
-  RunReport baseline = BaseReport();
-  RunReport candidate = BaseReport();
-  candidate.phases[0].second = 2.1;  // +5% < the 10% threshold
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  const MetricComparison* row = FindRow(comparison, "phase.mine");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->verdict, MetricVerdict::kNoise);
-  EXPECT_FALSE(comparison.ShouldFail(false));
-}
-
-TEST(BenchCompareTest, MicroPhaseUnderFloorIsNoiseEvenAt3x) {
-  RunReport baseline;
-  baseline.AddPhaseSeconds("tiny", 0.010);
-  RunReport candidate;
-  candidate.AddPhaseSeconds("tiny", 0.030);  // 3x, but both under 50ms
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  const MetricComparison* row = FindRow(comparison, "phase.tiny");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->verdict, MetricVerdict::kNoise);
-}
-
-TEST(BenchCompareTest, FloorDoesNotMaskPhasesThatGrewPastIt) {
-  RunReport baseline;
-  baseline.AddPhaseSeconds("grew", 0.010);
-  RunReport candidate;
-  candidate.AddPhaseSeconds("grew", 0.200);  // crossed the floor: real
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "phase.grew")->verdict,
-            MetricVerdict::kRegression);
-}
-
-TEST(BenchCompareTest, MissingMetricGatesOnlyWhenAsked) {
-  RunReport baseline = BaseReport();
-  baseline.AddValue("speedup", 3.0);
-  RunReport candidate = BaseReport();  // no "speedup" value
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  const MetricComparison* row = FindRow(comparison, "value.speedup");
+  candidate.results.clear();
+  ReportComparison comparison = CompareReports(baseline, candidate);
+  const MetricComparison* row = FindRow(comparison, "result.c2_plain");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->verdict, MetricVerdict::kMissing);
+  EXPECT_FALSE(row->candidate.has_value());
   EXPECT_EQ(comparison.missing, 1);
-  EXPECT_FALSE(comparison.ShouldFail(/*fail_on_missing=*/false));
-  EXPECT_TRUE(comparison.ShouldFail(/*fail_on_missing=*/true));
+  EXPECT_TRUE(comparison.ShouldFail());
+}
+
+// Fewer patterns must never read as saved work: a run that lost 10% of its
+// patterns and every level-3 pattern fails, whatever its counters say.
+TEST(BenchCompareTest, LostPatternsFailTheGate) {
+  RunReport baseline = BaseReport();
+  baseline.AddResult("patterns", 600);
+  baseline.AddResult("patterns.level3", 40);
+  baseline.metrics.counters = {{"dhp.level3.frequent", 80},
+                               {"dhp.patterns", 1200}};
+  RunReport candidate = BaseReport();
+  candidate.AddResult("patterns", 540);
+  candidate.AddResult("patterns.level3", 0);
+  candidate.metrics.counters = {{"dhp.level3.frequent", 0},
+                                {"dhp.patterns", 1080}};
+  ReportComparison comparison = CompareReports(baseline, candidate);
+  EXPECT_EQ(comparison.differing, 2);
+  EXPECT_TRUE(comparison.ShouldFail());
+}
+
+TEST(BenchCompareTest, PhaseAndValueDeltasArePrintedAndNeverGate) {
+  RunReport baseline = BaseReport();
+  baseline.AddValue("speedup", 4.0);
+  RunReport candidate = BaseReport();
+  candidate.phases[0].second = 20.0;  // 10x slower
+  candidate.AddValue("speedup", 2.0);
+  ReportComparison comparison = CompareReports(baseline, candidate);
+  const MetricComparison* phase = FindRow(comparison, "phase.mine");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_EQ(phase->verdict, MetricVerdict::kMeasured);
+  EXPECT_EQ(*phase->candidate, 20.0);
+  EXPECT_EQ(FindRow(comparison, "value.speedup")->verdict,
+            MetricVerdict::kMeasured);
+  EXPECT_FALSE(comparison.ShouldFail());
+  std::string printed = Printed(comparison);
+  EXPECT_NE(printed.find("+900.0%"), std::string::npos);
+  EXPECT_NE(printed.find("-50.0%"), std::string::npos);
+}
+
+TEST(BenchCompareTest, CountersAndSpanHistogramsAreNotCompared) {
+  HistogramSnapshot span;
+  span.sum = 1000000;
+  RunReport baseline = BaseReport();
+  baseline.metrics.counters = {{"apriori.candidates_counted", 1000},
+                               {"apriori.pruned_by_bound", 1000}};
+  baseline.metrics.histograms = {{"span.apriori.count_pass", span}};
+  RunReport candidate = BaseReport();
+  span.sum = 3000000;
+  candidate.metrics.counters = {{"apriori.candidates_counted", 1100}};
+  candidate.metrics.histograms = {{"span.apriori.count_pass", span}};
+  ReportComparison comparison = CompareReports(baseline, candidate);
+  // One result and one phase; nothing from the registry snapshot.
+  EXPECT_EQ(comparison.rows.size(), 2u);
+  EXPECT_FALSE(comparison.ShouldFail());
 }
 
 TEST(BenchCompareTest, NewMetricIsInformationalOnly) {
   RunReport baseline = BaseReport();
   RunReport candidate = BaseReport();
   candidate.AddValue("footprint_kb", 512);
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
+  ReportComparison comparison = CompareReports(baseline, candidate);
   const MetricComparison* row = FindRow(comparison, "value.footprint_kb");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->verdict, MetricVerdict::kNew);
-  EXPECT_FALSE(comparison.ShouldFail(true));
-}
-
-TEST(BenchCompareTest, CounterGrowthBeyondThresholdRegresses) {
-  RunReport baseline = BaseReport();
-  baseline.metrics.counters = {{"apriori.candidates_counted", 1000}};
-  RunReport candidate = BaseReport();
-  candidate.metrics.counters = {{"apriori.candidates_counted", 1100}};  // +10%
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "counter.apriori.candidates_counted")->verdict,
-            MetricVerdict::kRegression);
-}
-
-TEST(BenchCompareTest, PrunedCounterIsHigherIsBetter) {
-  EXPECT_EQ(DirectionForCounter("apriori.level2.pruned_by_bound"),
-            MetricDirection::kHigherIsBetter);
-  RunReport baseline = BaseReport();
-  baseline.metrics.counters = {{"apriori.pruned_by_bound", 1000}};
-  RunReport candidate = BaseReport();
-  candidate.metrics.counters = {{"apriori.pruned_by_bound", 1500}};
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "counter.apriori.pruned_by_bound")->verdict,
-            MetricVerdict::kImprovement);
+  EXPECT_FALSE(row->baseline.has_value());
+  EXPECT_FALSE(comparison.ShouldFail());
 }
 
 TEST(BenchCompareTest, PoolCountersAreNeutralAndNeverGate) {
-  EXPECT_EQ(DirectionForCounter("pool.tasks"), MetricDirection::kNeutral);
   RunReport baseline = BaseReport();
   baseline.metrics.counters = {{"pool.tasks", 8}};
   RunReport candidate = BaseReport();
-  candidate.metrics.counters = {{"pool.tasks", 64}};  // 8x: still neutral
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "counter.pool.tasks")->verdict,
-            MetricVerdict::kNoise);
-  EXPECT_FALSE(comparison.ShouldFail(true));
-}
-
-TEST(BenchCompareTest, AbandonedJoinCounterIsHigherIsBetter) {
-  // Abandoned joins are merges cut short — avoided work, like prunes.
-  EXPECT_EQ(DirectionForCounter("eclat.level2.abandoned_joins"),
-            MetricDirection::kHigherIsBetter);
-  RunReport baseline = BaseReport();
-  baseline.metrics.counters = {{"eclat.level2.abandoned_joins", 1000}};
-  RunReport candidate = BaseReport();
-  candidate.metrics.counters = {{"eclat.level2.abandoned_joins", 400}};
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "counter.eclat.level2.abandoned_joins")
-                ->verdict,
-            MetricVerdict::kRegression);
-}
-
-TEST(BenchCompareTest, EliminationAndDerivationCountersAreHigherIsBetter) {
-  // Candidates a bound eliminated and supports the deduction rules pinned
-  // exactly are counting passes never paid for.
-  EXPECT_EQ(DirectionForCounter("apriori.level3.eliminated_by_ossm"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(DirectionForCounter("apriori.level3.eliminated_by_ndi"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(DirectionForCounter("apriori.level3.derived_without_counting"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(DirectionForValue("combined_eliminated_by_ndi"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(DirectionForValue("derived_without_counting"),
-            MetricDirection::kHigherIsBetter);
-
-  RunReport baseline = BaseReport();
-  baseline.metrics.counters = {{"ndi.level3.eliminated_by_ndi", 200}};
-  RunReport candidate = BaseReport();
-  candidate.metrics.counters = {{"ndi.level3.eliminated_by_ndi", 40}};
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "counter.ndi.level3.eliminated_by_ndi")
-                ->verdict,
-            MetricVerdict::kRegression);
-}
-
-TEST(BenchCompareTest, CacheHitCounterIsHigherIsBetter) {
-  EXPECT_EQ(DirectionForCounter("serve.cache_hits"),
-            MetricDirection::kHigherIsBetter);
-  RunReport baseline = BaseReport();
-  baseline.metrics.counters = {{"serve.cache_hits", 1000}};
-  RunReport candidate = BaseReport();
-  candidate.metrics.counters = {{"serve.cache_hits", 500}};  // fewer hits
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "counter.serve.cache_hits")->verdict,
-            MetricVerdict::kRegression);
-}
-
-TEST(BenchCompareTest, StorageCounterDirectionHeuristics) {
-  // storage.* counters measure IO work: commits, msync calls, bytes
-  // synced, WAL pages replayed, torn tails repaired — fewer is better.
-  EXPECT_EQ(DirectionForCounter("storage.commits"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForCounter("storage.bytes_synced"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForCounter("storage.wal_pages_replayed"),
-            MetricDirection::kLowerIsBetter);
-  // Mapping/residency gauges only say where bytes live — an mmap run
-  // legitimately maps more while keeping less resident — so they never
-  // gate; neither does the live-store count.
-  EXPECT_EQ(DirectionForCounter("storage.live_bytes_mapped"),
-            MetricDirection::kNeutral);
-  EXPECT_EQ(DirectionForCounter("storage.live_bytes_resident"),
-            MetricDirection::kNeutral);
-  EXPECT_EQ(DirectionForCounter("storage.live_stores"),
-            MetricDirection::kNeutral);
-
-  RunReport baseline = BaseReport();
-  baseline.metrics.counters = {{"storage.bytes_synced", 1000}};
-  RunReport candidate = BaseReport();
-  candidate.metrics.counters = {{"storage.bytes_synced", 2000}};
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "counter.storage.bytes_synced")->verdict,
-            MetricVerdict::kRegression);
-
-  // An 8x swing in mapped bytes is noise, not a gate.
-  RunReport base2 = BaseReport();
-  base2.metrics.counters = {{"storage.live_bytes_mapped", 1 << 20}};
-  RunReport cand2 = BaseReport();
-  cand2.metrics.counters = {{"storage.live_bytes_mapped", 8 << 20}};
-  ReportComparison comparison2 =
-      CompareReports(base2, cand2, CompareOptions());
-  EXPECT_EQ(FindRow(comparison2, "counter.storage.live_bytes_mapped")->verdict,
-            MetricVerdict::kNoise);
-  EXPECT_FALSE(comparison2.ShouldFail(true));
-}
-
-TEST(BenchCompareTest, FaultCounterIsLowerIsBetter) {
-  // Page faults outside the neutral res.* namespace are IO stalls (the
-  // storage bench's paging story).
-  EXPECT_EQ(DirectionForCounter("bench.major_faults"),
-            MetricDirection::kLowerIsBetter);
-  // But the raw per-phase res.* accumulations stay neutral: they scale
-  // with machine load, and gating happens on derived values.
-  EXPECT_EQ(DirectionForCounter("res.mmap_load.major_faults"),
-            MetricDirection::kNeutral);
-}
-
-TEST(BenchCompareTest, StorageValueDirectionHeuristics) {
-  // Descriptive mapping/residency sizes never gate; fault values do.
-  EXPECT_EQ(DirectionForValue("mmap_bytes_mapped"),
-            MetricDirection::kNeutral);
-  EXPECT_EQ(DirectionForValue("mmap_bytes_resident"),
-            MetricDirection::kNeutral);
-  EXPECT_EQ(DirectionForValue("major_faults_per_query"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForValue("mmap_serve_qps"),
-            MetricDirection::kHigherIsBetter);
-}
-
-TEST(BenchCompareTest, ServingValueDirectionHeuristics) {
-  EXPECT_EQ(DirectionForValue("serve_qps"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(DirectionForValue("cache_hit_ratio"),
-            MetricDirection::kHigherIsBetter);
-
-  // A qps drop is a regression even though the raw number fell.
-  RunReport baseline = BaseReport();
-  baseline.AddValue("serve_qps", 100000.0);
-  RunReport candidate = BaseReport();
-  candidate.AddValue("serve_qps", 50000.0);
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "value.serve_qps")->verdict,
-            MetricVerdict::kRegression);
-
-  // And a hit-ratio gain is an improvement.
-  RunReport base2 = BaseReport();
-  base2.AddValue("cache_hit_ratio", 0.50);
-  RunReport cand2 = BaseReport();
-  cand2.AddValue("cache_hit_ratio", 0.80);
-  ReportComparison comparison2 =
-      CompareReports(base2, cand2, CompareOptions());
-  EXPECT_EQ(FindRow(comparison2, "value.cache_hit_ratio")->verdict,
-            MetricVerdict::kImprovement);
-}
-
-TEST(BenchCompareTest, ValueDirectionHeuristics) {
-  EXPECT_EQ(DirectionForValue("speedup.t4"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(DirectionForValue("throughput_rows"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(DirectionForValue("seg_seconds.pure.greedy"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForValue("queue_wait_us"),
-            MetricDirection::kLowerIsBetter);
-  // Windowed serving percentiles: always latency, whatever tier token the
-  // name carries (tier_cache must not inherit the cache-hit rule).
-  EXPECT_EQ(DirectionForValue("request_p99_us"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForValue("tier_cache_p50_us"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForValue("tier_exact_p95_us"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForValue("queue_wait_p99_us"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForValue("queue_depth_max"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForValue("n_min.m8"), MetricDirection::kNeutral);
-  // Kernel-bench throughput figures.
-  EXPECT_EQ(DirectionForValue("min_sum_avx2_gib_per_s"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(DirectionForValue("and_popcount_scalar_elems_per_s"),
-            MetricDirection::kHigherIsBetter);
-
-  // A speedup that halves is a regression even though the raw number fell.
-  RunReport baseline = BaseReport();
-  baseline.AddValue("speedup", 4.0);
-  RunReport candidate = BaseReport();
-  candidate.AddValue("speedup", 2.0);
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "value.speedup")->verdict,
-            MetricVerdict::kRegression);
-}
-
-TEST(BenchCompareTest, SpanTotalsComparedOnlyWhenEnabled) {
-  HistogramSnapshot base_span;
-  base_span.sum = 1000000;  // 1s
-  HistogramSnapshot cand_span = base_span;
-  cand_span.sum = 3000000;  // 3s
-  RunReport baseline = BaseReport();
-  baseline.metrics.histograms = {{"span.apriori.count_pass", base_span}};
-  RunReport candidate = BaseReport();
-  candidate.metrics.histograms = {{"span.apriori.count_pass", cand_span}};
-
-  CompareOptions off;
-  EXPECT_EQ(FindRow(CompareReports(baseline, candidate, off),
-                    "span.apriori.count_pass.total_us"),
-            nullptr);
-
-  CompareOptions on;
-  on.include_span_totals = true;
-  ReportComparison comparison = CompareReports(baseline, candidate, on);
-  const MetricComparison* row =
-      FindRow(comparison, "span.apriori.count_pass.total_us");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->verdict, MetricVerdict::kRegression);
+  candidate.metrics.counters = {{"pool.tasks", 64}};
+  ReportComparison comparison = CompareReports(baseline, candidate);
+  EXPECT_EQ(FindRow(comparison, "counter.pool.tasks"), nullptr);
+  EXPECT_FALSE(comparison.ShouldFail());
 }
 
 TEST(BenchCompareTest, MismatchedIdentityProducesNotes) {
@@ -374,129 +162,63 @@ TEST(BenchCompareTest, MismatchedIdentityProducesNotes) {
   candidate.name = "bench.other";
   candidate.environment.threads = 8;
   candidate.SetWorkload("transactions", uint64_t{40000});
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
+  ReportComparison comparison = CompareReports(baseline, candidate);
   // Name, thread count, changed workload key, and absent workload key.
   EXPECT_EQ(comparison.notes.size(), 4u);
   // Notes never gate on their own.
-  EXPECT_FALSE(comparison.ShouldFail(false));
-}
-
-TEST(BenchCompareTest, PerfMetricClassification) {
-  EXPECT_TRUE(IsPerfMetric("perf.mine.cycles"));
-  EXPECT_TRUE(IsPerfMetric("perf_mine_instructions"));
-  EXPECT_TRUE(IsPerfMetric("res.mine.minor_faults"));
-  EXPECT_TRUE(IsPerfMetric("and_popcount_avx2_ipc"));
-  EXPECT_TRUE(IsPerfMetric("min_sum_scalar_llc_miss_per_elem"));
-  EXPECT_FALSE(IsPerfMetric("speedup.t4"));
-  EXPECT_FALSE(IsPerfMetric("serve_qps"));
-}
-
-TEST(BenchCompareTest, PerfValueDirectionHeuristics) {
-  // Derived per-element/ratio figures gate; raw counters stay neutral
-  // (absolute cycle counts shift with host load and multiplexing).
-  EXPECT_EQ(DirectionForValue("kernels_ipc"),
-            MetricDirection::kHigherIsBetter);
-  EXPECT_EQ(DirectionForValue("and_popcount_avx2_llc_miss_per_elem"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForValue("res_mine_major_faults"),
-            MetricDirection::kLowerIsBetter);
-  EXPECT_EQ(DirectionForCounter("perf.mine.cycles"),
-            MetricDirection::kNeutral);
-  EXPECT_EQ(DirectionForCounter("perf.span.count_pass.llc_misses"),
-            MetricDirection::kNeutral);
-  EXPECT_EQ(DirectionForCounter("res.mine.minor_faults"),
-            MetricDirection::kNeutral);
-}
-
-TEST(BenchCompareTest, IpcDropIsARegression) {
-  RunReport baseline = BaseReport();
-  baseline.AddValue("count_pass_avx2_ipc", 2.0);
-  RunReport candidate = BaseReport();
-  candidate.AddValue("count_pass_avx2_ipc", 1.0);  // half the IPC
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison, "value.count_pass_avx2_ipc")->verdict,
-            MetricVerdict::kRegression);
-  EXPECT_TRUE(comparison.ShouldFail(false));
-
-  // The unchanged direction sanity check: identical IPC never gates.
-  ReportComparison same =
-      CompareReports(baseline, baseline, CompareOptions());
-  EXPECT_FALSE(same.ShouldFail(true));
-}
-
-TEST(BenchCompareTest, LlcMissPerElemGrowthIsARegression) {
-  RunReport baseline = BaseReport();
-  baseline.AddValue("count_pass_avx2_llc_miss_per_elem", 0.01);
-  RunReport candidate = BaseReport();
-  candidate.AddValue("count_pass_avx2_llc_miss_per_elem", 0.05);
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(FindRow(comparison,
-                    "value.count_pass_avx2_llc_miss_per_elem")->verdict,
-            MetricVerdict::kRegression);
+  EXPECT_FALSE(comparison.ShouldFail());
 }
 
 TEST(BenchCompareTest, PerfMetricsAbsentFromCandidateAreNoiseNotMissing) {
   // Baseline machine had a PMU, the candidate container does not: the
-  // perf-derived metrics vanish. That asymmetry is environmental, so it
-  // must not trip --fail-on-missing the way losing a real metric does.
+  // perf-derived values vanish. They are measurements, so their absence
+  // is printed and never counts as a missing result.
   RunReport baseline = BaseReport();
   baseline.AddValue("count_pass_avx2_ipc", 2.0);
   baseline.metrics.counters = {{"perf.mine.cycles", 1000000}};
   RunReport candidate = BaseReport();  // no perf anywhere
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  const MetricComparison* value_row =
+  ReportComparison comparison = CompareReports(baseline, candidate);
+  const MetricComparison* row =
       FindRow(comparison, "value.count_pass_avx2_ipc");
-  ASSERT_NE(value_row, nullptr);
-  EXPECT_EQ(value_row->verdict, MetricVerdict::kNoise);
-  const MetricComparison* counter_row =
-      FindRow(comparison, "counter.perf.mine.cycles");
-  ASSERT_NE(counter_row, nullptr);
-  EXPECT_EQ(counter_row->verdict, MetricVerdict::kNoise);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->verdict, MetricVerdict::kMeasured);
+  EXPECT_FALSE(row->candidate.has_value());
   EXPECT_EQ(comparison.missing, 0);
-  EXPECT_FALSE(comparison.ShouldFail(/*fail_on_missing=*/true));
+  EXPECT_FALSE(comparison.ShouldFail());
 }
 
 TEST(BenchCompareTest, NonPerfMissingStillGatesAlongsidePerfNoise) {
-  // The perf exemption is surgical: a genuinely lost metric in the same
-  // comparison still counts as missing.
+  // Perf values that vanish never gate; a lost result in the same
+  // comparison still does.
   RunReport baseline = BaseReport();
   baseline.AddValue("count_pass_avx2_ipc", 2.0);
-  baseline.AddValue("speedup", 3.0);
   RunReport candidate = BaseReport();
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
+  candidate.results.clear();
+  ReportComparison comparison = CompareReports(baseline, candidate);
   EXPECT_EQ(comparison.missing, 1);
-  EXPECT_TRUE(comparison.ShouldFail(/*fail_on_missing=*/true));
+  EXPECT_TRUE(comparison.ShouldFail());
 }
 
 TEST(BenchCompareTest, NewMetricsAreCountedButNeverGate) {
   RunReport baseline = BaseReport();
   RunReport candidate = BaseReport();
+  candidate.AddResult("patterns", 600);
+  candidate.AddResult("patterns.level1", 400);
   candidate.AddValue("count_pass_avx2_ipc", 2.0);  // PMU only on candidate
-  candidate.AddValue("footprint_kb", 512);
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  EXPECT_EQ(comparison.new_metrics, 2);
-  EXPECT_FALSE(comparison.ShouldFail(true));
-  std::ostringstream out;
-  PrintComparison(comparison, out);
-  EXPECT_NE(out.str().find("2 new (not gated)"), std::string::npos);
+  ReportComparison comparison = CompareReports(baseline, candidate);
+  EXPECT_EQ(comparison.new_results, 2);
+  EXPECT_FALSE(comparison.ShouldFail());
+  EXPECT_NE(Printed(comparison).find("2 new (not gated)"), std::string::npos);
 }
 
 TEST(BenchCompareTest, PrintComparisonRendersSummaryLine) {
   RunReport baseline = BaseReport();
   RunReport candidate = BaseReport();
-  candidate.phases[0].second = 10.0;
-  ReportComparison comparison =
-      CompareReports(baseline, candidate, CompareOptions());
-  std::ostringstream out;
-  PrintComparison(comparison, out);
-  EXPECT_NE(out.str().find("REGRESSION"), std::string::npos);
-  EXPECT_NE(out.str().find("1 regressions"), std::string::npos);
+  candidate.results[0].second = 814;
+  std::string printed = Printed(CompareReports(baseline, candidate));
+  EXPECT_NE(printed.find("1 results compared: 1 differ, 0 missing"),
+            std::string::npos);
+  EXPECT_NE(printed.find("1 phases and values reported"), std::string::npos);
 }
 
 }  // namespace

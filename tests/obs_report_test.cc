@@ -28,7 +28,8 @@ RunReport GoldenReport() {
   report.AddPhaseSeconds("baseline_mine", 1.25);
   report.AddPhaseSeconds("sweep", 10.5);
   report.AddValue("speedup.greedy.n160", 3.75);
-  report.AddValue("c2_fraction.greedy.n160", 0.042);
+  report.AddResult("c2_fraction.greedy.n160", 0.042);
+  report.AddResult("patterns", 1234);
   report.metrics.counters = {
       {"apriori.candidates_counted", 125000},
       {"apriori.pruned_by_bound", 90000},
@@ -88,6 +89,7 @@ TEST(RunReportTest, ParseRoundTripsEveryField) {
   EXPECT_EQ(parsed->workload, original.workload);
   EXPECT_EQ(parsed->phases, original.phases);
   EXPECT_EQ(parsed->values, original.values);
+  EXPECT_EQ(parsed->results, original.results);
   EXPECT_EQ(parsed->metrics.counters, original.metrics.counters);
   EXPECT_EQ(parsed->metrics.gauges, original.metrics.gauges);
   ASSERT_EQ(parsed->metrics.histograms.size(), 1u);
@@ -97,8 +99,36 @@ TEST(RunReportTest, ParseRoundTripsEveryField) {
   EXPECT_EQ(parsed->metrics.histograms[0].second.p50, 3900.5);
 
   // Reprinting the parsed report reproduces the original bytes — %.6g
-  // doubles survive the parse/print cycle.
+  // and %.17g doubles survive the parse/print cycle.
   EXPECT_EQ(Render(*parsed), Render(original));
+}
+
+// Results are compared exactly, so the file must carry every bit: a value
+// %.6g would round (1/3, a 9-digit count) re-parses to the same double.
+TEST(RunReportTest, ResultsRoundTripExactly) {
+  RunReport original;
+  original.name = "bench.exact";
+  original.AddResult("third", 1.0 / 3.0);
+  original.AddResult("count", 123456789);
+  original.AddResult("big_count", 9007199254740992.0);  // 2^53
+  original.AddResult("c2_fraction", 0.48199199999999999);
+  StatusOr<RunReport> parsed = ParseRunReport(Render(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->results, original.results);
+  EXPECT_NE(Render(original).find("\"count\": 123456789"), std::string::npos);
+}
+
+TEST(RunReportTest, ParsesVersionTwoWithoutResults) {
+  StatusOr<RunReport> parsed = ParseRunReport(R"({
+  "schema_version": 2,
+  "name": "bench.v2",
+  "phases": {"mine": 1.5},
+  "values": {"c2_plain": 813}
+})");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->schema_version, 2);
+  ASSERT_EQ(parsed->values.size(), 1u);
+  EXPECT_TRUE(parsed->results.empty());
 }
 
 TEST(RunReportTest, AddPhaseSecondsAccumulatesSameName) {

@@ -337,7 +337,9 @@ TEST(OssubTest, RandomizedZeroLossCharacterization) {
       }
     }
     EXPECT_EQ(zero_loss, weakly_compatible) << "trial " << trial;
-    if (same_config) EXPECT_TRUE(zero_loss) << "trial " << trial;
+    if (same_config) {
+      EXPECT_TRUE(zero_loss) << "trial " << trial;
+    }
     zero_count += zero_loss ? 1 : 0;
   }
   // Sanity: both outcomes exercised.

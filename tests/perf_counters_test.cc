@@ -118,7 +118,7 @@ TEST(PerfGroupTest, GroupLifecycleMatchesProbe) {
   group.Start();
   // Burn a little CPU so live counters have something to count.
   volatile uint64_t sink = 0;
-  for (uint64_t i = 0; i < 100000; ++i) sink += i * i;
+  for (uint64_t i = 0; i < 100000; ++i) sink = sink + i * i;
   PerfReading reading = group.Stop();
   if (group.available()) {
     EXPECT_TRUE(PerfCountersAvailable());

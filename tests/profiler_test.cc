@@ -21,7 +21,7 @@ uint64_t BurnCpu(double seconds) {
   // ~1µs per inner chunk on anything modern; recheck the profiler's own
   // sample counter is cheaper than clock_gettime in a signal-heavy loop.
   for (double spent = 0; spent < budget; spent += 1.0) {
-    for (int i = 0; i < 400; ++i) sink += sink * 31 + i;
+    for (int i = 0; i < 400; ++i) sink = sink + sink * 31 + i;
   }
   return sink;
 }

@@ -126,7 +126,8 @@ std::string DataKindName(DataKind kind) {
 std::string BoundParamsName(const testing::TestParamInfo<BoundParams>& info) {
   std::string name = DataKindName(std::get<0>(info.param));
   name += std::string(SegmentationAlgorithmName(std::get<1>(info.param)));
-  name += "N" + std::to_string(std::get<2>(info.param));
+  name += 'N';
+  name += std::to_string(std::get<2>(info.param));
   std::erase(name, '-');
   return name;
 }
@@ -221,7 +222,8 @@ TEST_P(LosslessPruningTest, PatternsIdenticalWithAndWithoutOssm) {
 std::string LosslessParamsName(
     const testing::TestParamInfo<LosslessParams>& info) {
   std::string name = DataKindName(std::get<0>(info.param));
-  name += "S" + std::to_string(std::get<1>(info.param));
+  name += 'S';
+  name += std::to_string(std::get<1>(info.param));
   name += std::get<2>(info.param) < 0.02 ? "T1pc" : "T5pc";
   return name;
 }

@@ -3,19 +3,28 @@
 # Regenerate the committed benchmark baselines in bench/baselines/.
 #
 # Every bench binary runs at a reduced workload (seconds, not the paper's
-# minutes) and writes its canonical RunReport into the output directory, so
+# minutes) and writes its canonical RunReport into the output directory.
+# The reports' results (pattern counts, C2 fractions, ossub evaluations,
+# n_min, ...) are deterministic, and the regression gate holds them to the
+# committed baselines exactly:
 #
-#   ./build/tools/bench_compare bench/baselines/BENCH_fig4_speedup.json \
-#       BENCH_fig4_speedup.json
+#   tools/make_baselines.sh build bench-out
+#   for base in bench/baselines/BENCH_*.json; do
+#     ./build/tools/bench_compare "$base" "bench-out/$(basename "$base")"
+#   done
 #
-# can classify a fresh run against the committed reference. Wall-clock
-# numbers are machine dependent: regenerate the baselines on the machine
-# you intend to compare on. CI gates run-vs-run within a single job and
-# only reports (--report-only) against these committed files.
+# Phases and values are timings; bench_compare prints their deltas and
+# never gates on them, so the baselines can be regenerated on any machine.
+# OSSM_THREADS defaults to 1, the count the committed baselines record;
+# a caller may set another count (or OSSM_SIMD / OSSM_STORAGE) to check
+# that the results do not move with it. Regenerate all baselines at one
+# rev, and only when a change is meant to alter a result.
 #
 # usage: tools/make_baselines.sh [build_dir] [out_dir]
 
 set -euo pipefail
+
+export OSSM_THREADS=${OSSM_THREADS:-1}
 
 build=${1:-build}
 out=${2:-bench/baselines}
@@ -45,12 +54,6 @@ run kernels --elems=2048
 # to 4x the memory cap (the flagless acceptance run takes minutes).
 run storage --transactions=20000 --items=200 --mem-cap-mb=24
 
-# serve_throughput reports under the name "serve", so its baseline keeps
-# that filename (BENCH_serve.json) rather than the binary's.
-echo "== serve_throughput"
-"$build_abs/bench/serve_throughput" --transactions=8000 --items=300 \
-  --queries=20000 --report="$out_abs/BENCH_serve.json" > /dev/null
-
 # micro writes BENCH_parallel.json into the working directory. The filter
 # matches no google-benchmark case on purpose: the baseline captures the
 # thread-count sweep (which always runs), not the microbenchmark tables.
@@ -59,5 +62,5 @@ echo "== micro (parallel counting sweep)"
   --benchmark_filter=NoSuchBenchmark > /dev/null)
 
 echo
-echo "baselines written to $out/:"
+echo "baselines written to $out/ (OSSM_THREADS=$OSSM_THREADS):"
 ls -1 "$out_abs"

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_flag.h"
 #include "common/status.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
@@ -90,16 +91,16 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  // Numeric values must parse in full: --threshold=0.02abc or --port=abc
-  // exits 2 instead of running at 0.02 or binding port 0.
-  uint64_t GetInt(const std::string& key, uint64_t fallback) const {
+  // Numeric values must parse in full and fit the destination type:
+  // --threshold=0.02abc, --port=abc or --items=-5 exits 2 instead of
+  // running at 0.02, binding port 0 or generating 2^64 - 5 items.
+  template <typename T>
+  T GetInt(const std::string& key, T fallback) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    char* end = nullptr;
-    errno = 0;
-    uint64_t value = std::strtoull(it->second.c_str(), &end, 10);
-    CheckParsed(key, it->second, end);
-    return value;
+    StatusOr<T> value = ParseIntFlag<T>(key, it->second);
+    if (!value.ok()) Reject(value.status());
+    return *value;
   }
   double GetDouble(const std::string& key, double fallback) const {
     auto it = values_.find(key);
@@ -123,11 +124,11 @@ class Args {
   static void CheckParsed(const std::string& key, const std::string& text,
                           const char* end) {
     if (end != text.c_str() && *end == '\0' && errno != ERANGE) return;
-    std::fprintf(stderr, "error: %s\n",
-                 Status::InvalidArgument("--" + key + "=" + text +
-                                         " is not a number")
-                     .ToString()
-                     .c_str());
+    Reject(Status::InvalidArgument("--" + key + "=" + text +
+                                   " is not a number"));
+  }
+  [[noreturn]] static void Reject(const Status& status) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     std::exit(2);
   }
 
@@ -183,36 +184,34 @@ int CmdGen(const Args& args) {
   StatusOr<TransactionDatabase> db = Status::Unimplemented("");
   if (kind == "quest") {
     QuestConfig config;
-    config.num_items = static_cast<uint32_t>(args.GetInt("items", 400));
-    config.num_transactions = args.GetInt("transactions", 20000);
+    config.num_items = args.GetInt<uint32_t>("items", 400);
+    config.num_transactions = args.GetInt<uint64_t>("transactions", 20000);
     config.avg_transaction_size =
         args.GetDouble("txn-size", config.num_items / 100.0);
     config.avg_pattern_size = args.GetDouble("pattern-size", 3.0);
-    config.num_patterns =
-        static_cast<uint32_t>(args.GetInt("patterns", config.num_items));
+    config.num_patterns = args.GetInt<uint32_t>("patterns", config.num_items);
     config.corruption_mean = args.GetDouble("corruption", 0.25);
-    config.num_seasons = static_cast<uint32_t>(args.GetInt("seasons", 1));
+    config.num_seasons = args.GetInt<uint32_t>("seasons", 1);
     config.in_season_boost = args.GetDouble("boost", 1.0);
-    config.seed = args.GetInt("seed", 1);
+    config.seed = args.GetInt<uint64_t>("seed", 1);
     db = GenerateQuest(config);
   } else if (kind == "skewed") {
     SkewedConfig config;
-    config.num_items = static_cast<uint32_t>(args.GetInt("items", 400));
-    config.num_transactions = args.GetInt("transactions", 20000);
+    config.num_items = args.GetInt<uint32_t>("items", 400);
+    config.num_transactions = args.GetInt<uint64_t>("transactions", 20000);
     config.avg_transaction_size =
         args.GetDouble("txn-size", config.num_items / 100.0);
-    config.num_seasons = static_cast<uint32_t>(args.GetInt("seasons", 2));
+    config.num_seasons = args.GetInt<uint32_t>("seasons", 2);
     config.in_season_boost = args.GetDouble("boost", 8.0);
-    config.seed = args.GetInt("seed", 1);
+    config.seed = args.GetInt<uint64_t>("seed", 1);
     db = GenerateSkewed(config);
   } else if (kind == "alarm") {
     AlarmConfig config;
-    config.num_alarm_types = static_cast<uint32_t>(args.GetInt("items", 200));
-    config.num_windows = args.GetInt("windows", 5000);
+    config.num_alarm_types = args.GetInt<uint32_t>("items", 200);
+    config.num_windows = args.GetInt<uint64_t>("windows", 5000);
     config.background_rate = args.GetDouble("rate", 3.0);
-    config.num_episode_kinds =
-        static_cast<uint32_t>(args.GetInt("episodes", 25));
-    config.seed = args.GetInt("seed", 1);
+    config.num_episode_kinds = args.GetInt<uint32_t>("episodes", 25);
+    config.seed = args.GetInt<uint64_t>("seed", 1);
     db = GenerateAlarms(config);
   } else {
     std::fprintf(stderr, "unknown --kind=%s (quest, skewed, alarm)\n",
@@ -227,9 +226,9 @@ int CmdGen(const Args& args) {
   return 0;
 }
 
-// Writes a RunReport for a subcommand: workload identity and phase timings
-// from the caller, metrics snapshotted from the global registry (collection
-// was enabled up front when --report was passed).
+// Writes a RunReport for a subcommand: workload identity, phase timings and
+// results from the caller, metrics snapshotted from the global registry
+// (collection was enabled up front when --report was passed).
 int WriteCliReport(obs::RunReport report, const std::string& path) {
   report.metrics = obs::MetricsRegistry::Global().Snapshot();
   if (Status save = obs::SaveRunReportFile(report, path); !save.ok()) {
@@ -261,12 +260,12 @@ int CmdBuild(const Args& args) {
 
   OssmBuildOptions options;
   options.algorithm = *algorithm;
-  options.target_segments = args.GetInt("segments", 40);
-  options.transactions_per_page = args.GetInt("page", 100);
-  options.intermediate_segments = args.GetInt("intermediate", 200);
+  options.target_segments = args.GetInt<uint64_t>("segments", 40);
+  options.transactions_per_page = args.GetInt<uint64_t>("page", 100);
+  options.intermediate_segments = args.GetInt<uint64_t>("intermediate", 200);
   options.bubble_fraction = args.GetDouble("bubble", 0.0);
   options.bubble_threshold = args.GetDouble("bubble-threshold", 0.0025);
-  options.seed = args.GetInt("seed", 1);
+  options.seed = args.GetInt<uint64_t>("seed", 1);
 
   StatusOr<OssmBuildResult> build = BuildOssm(*db, options);
   if (!build.ok()) return Fail(build.status());
@@ -293,10 +292,10 @@ int CmdBuild(const Args& args) {
     report.SetWorkload("seed", options.seed);
     report.AddPhaseSeconds("load", load_seconds);
     report.AddPhaseSeconds("build", build->stats.seconds);
-    report.AddValue("ossub_evaluations",
-                    static_cast<double>(build->stats.ossub_evaluations));
-    report.AddValue("footprint_kb",
-                    build->map.MemoryFootprintBytes() / 1024.0);
+    report.AddResult("ossub_evaluations",
+                     static_cast<double>(build->stats.ossub_evaluations));
+    report.AddResult("footprint_kb",
+                     build->map.MemoryFootprintBytes() / 1024.0);
     return WriteCliReport(std::move(report), args.Get("report", ""));
   }
   return 0;
@@ -342,9 +341,9 @@ int CmdMine(const Args& args) {
   }
 
   double threshold = args.GetDouble("threshold", 0.01);
-  uint32_t max_level = static_cast<uint32_t>(args.GetInt("max-level", 0));
+  uint32_t max_level = args.GetInt<uint32_t>("max-level", 0);
   std::string miner = args.Get("miner", "apriori");
-  uint32_t ndi_depth = static_cast<uint32_t>(args.GetInt("ndi-depth", 3));
+  uint32_t ndi_depth = args.GetInt<uint32_t>("ndi-depth", 3);
 
   // Resolve the candidate bound source. "combined" and "ndi" wrap the
   // deduction-rule engine (with or without an equation-(1) base) in the
@@ -411,7 +410,7 @@ int CmdMine(const Args& args) {
     NdiConfig config;
     config.min_support_fraction = threshold;
     config.max_level = max_level;
-    config.max_depth = static_cast<uint32_t>(args.GetInt("ndi-depth", 0));
+    config.max_depth = args.GetInt<uint32_t>("ndi-depth", 0);
     // The NDI miner runs its own deduction rules; the equation-(1) bound
     // (when an --ossm is loaded) rides along as the cheap first filter.
     config.pruner = ossm_ptr;
@@ -448,7 +447,7 @@ int CmdMine(const Args& args) {
             result->stats.TotalDerivedWithoutCounting()));
   }
 
-  uint64_t top = args.GetInt("top", 20);
+  uint64_t top = args.GetInt<uint64_t>("top", 20);
   uint64_t shown = 0;
   for (const FrequentItemset& f : result->itemsets) {
     if (f.items.size() < 2) continue;
@@ -472,20 +471,20 @@ int CmdMine(const Args& args) {
                        args.Has("ossm") ? args.Get("ossm", "") : "none");
     report.AddPhaseSeconds("load", load_seconds);
     report.AddPhaseSeconds("mine", result->stats.total_seconds);
-    report.AddValue("frequent_itemsets",
-                    static_cast<double>(result->itemsets.size()));
-    report.AddValue(
+    report.AddResult("frequent_itemsets",
+                     static_cast<double>(result->itemsets.size()));
+    report.AddResult(
         "candidates_counted",
         static_cast<double>(result->stats.TotalCandidatesCounted()));
-    report.AddValue("pruned_by_bound",
-                    static_cast<double>(result->stats.TotalPrunedByBound()));
-    report.AddValue(
+    report.AddResult("pruned_by_bound",
+                     static_cast<double>(result->stats.TotalPrunedByBound()));
+    report.AddResult(
         "eliminated_by_ossm",
         static_cast<double>(result->stats.TotalEliminatedByOssm()));
-    report.AddValue(
+    report.AddResult(
         "eliminated_by_ndi",
         static_cast<double>(result->stats.TotalEliminatedByNdi()));
-    report.AddValue(
+    report.AddResult(
         "derived_without_counting",
         static_cast<double>(result->stats.TotalDerivedWithoutCounting()));
     return WriteCliReport(std::move(report), args.Get("report", ""));
@@ -524,7 +523,7 @@ int CmdRules(const Args& args) {
 
   std::printf("%zu rules at confidence >= %.2f\n", rules->size(),
               config.min_confidence);
-  uint64_t top = args.GetInt("top", 20);
+  uint64_t top = args.GetInt<uint64_t>("top", 20);
   for (size_t r = 0; r < rules->size() && r < top; ++r) {
     const AssociationRule& rule = (*rules)[r];
     std::printf("  {");
@@ -674,30 +673,27 @@ int CmdServe(const Args& args) {
 
   serve::QueryEngineConfig engine_config;
   engine_config.min_support = *min_support;
-  engine_config.cache_capacity = args.GetInt("cache-capacity", 1 << 16);
-  engine_config.cache_shards =
-      static_cast<uint32_t>(args.GetInt("shards", 16));
+  engine_config.cache_capacity =
+      args.GetInt<uint64_t>("cache-capacity", 1 << 16);
+  engine_config.cache_shards = args.GetInt<uint32_t>("shards", 16);
   engine_config.telemetry = &telemetry;
   serve::QueryEngine engine(&*db, has_map ? &map : nullptr, engine_config);
 
   serve::BatcherConfig batcher_config;
-  batcher_config.max_batch =
-      static_cast<uint32_t>(args.GetInt("max-batch", 64));
-  batcher_config.max_queue =
-      static_cast<uint32_t>(args.GetInt("max-queue", 4096));
+  batcher_config.max_batch = args.GetInt<uint32_t>("max-batch", 64);
+  batcher_config.max_queue = args.GetInt<uint32_t>("max-queue", 4096);
   batcher_config.telemetry = &telemetry;
   serve::Batcher batcher(&engine, batcher_config);
 
   serve::ServerConfig server_config;
   server_config.telemetry = &telemetry;
   server_config.bind_address = args.Get("bind", "127.0.0.1");
-  server_config.port = static_cast<uint16_t>(args.GetInt("port", 0));
+  server_config.port = args.GetInt<uint16_t>("port", 0);
   server_config.max_connections =
-      static_cast<uint32_t>(args.GetInt("max-connections", 256));
-  server_config.max_items_per_query =
-      static_cast<uint32_t>(args.GetInt("max-items", 256));
+      args.GetInt<uint32_t>("max-connections", 256);
+  server_config.max_items_per_query = args.GetInt<uint32_t>("max-items", 256);
   server_config.drain_timeout_ms =
-      static_cast<uint32_t>(args.GetInt("drain-timeout-ms", 5000));
+      args.GetInt<uint32_t>("drain-timeout-ms", 5000);
 
   // Block the stop signals before any thread exists so every thread
   // inherits the mask and only the sigwait below ever sees them.
@@ -830,7 +826,7 @@ int CmdQuery(const Args& args) {
         "dataset and exits 1 on any mismatch.");
     return 0;
   }
-  uint16_t port = static_cast<uint16_t>(args.GetInt("port", 0));
+  uint16_t port = args.GetInt<uint16_t>("port", 0);
   if (port == 0) {
     std::fprintf(stderr, "query needs --port=N\n");
     return 2;
@@ -1012,15 +1008,15 @@ int CmdTop(const Args& args) {
         "--no-clear appends frames instead of redrawing (for logs/CI).");
     return 0;
   }
-  uint16_t port = static_cast<uint16_t>(args.GetInt("port", 0));
+  uint16_t port = args.GetInt<uint16_t>("port", 0);
   if (port == 0) {
     std::fprintf(stderr, "top needs --port=N\n");
     return 2;
   }
   std::string host = args.Get("host", "127.0.0.1");
-  int64_t interval_ms = args.GetInt("interval-ms", 1000);
-  int64_t iterations = args.GetInt("iterations", 0);
-  int64_t slowlog_rows = std::max<int64_t>(0, args.GetInt("slowlog", 5));
+  int64_t interval_ms = args.GetInt<int64_t>("interval-ms", 1000);
+  int64_t iterations = args.GetInt<int64_t>("iterations", 0);
+  int64_t slowlog_rows = args.GetInt<int64_t>("slowlog", 5);
   bool no_clear = args.Has("no-clear");
 
   int fd = -1;
