@@ -29,7 +29,7 @@ int Run(int argc, char** argv) {
       flags.GetInt<uint64_t>("transactions", paper ? 100000 : 20000);
   uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 300);
   uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
-  int repeats = flags.GetInt<int>("repeats", 2);
+  int repeats = flags.Repeats();
 
   std::printf(
       "Ablation — generalized OSSM (footnote 3): tracked pairs vs none\n"
@@ -120,7 +120,8 @@ int Run(int argc, char** argv) {
                  static_cast<double>(baseline_counted),
              3),
          TablePrinter::FormatDouble(baseline.seconds / with.seconds, 2)});
-    std::string point = "t" + std::to_string(tracked);
+    std::string point(1, 't');
+    point += std::to_string(tracked);
     reporter.AddResult("counted_fraction." + point,
                        static_cast<double>(counted) /
                            static_cast<double>(baseline_counted));

@@ -30,7 +30,7 @@ int Run(int argc, char** argv) {
       flags.GetInt<uint64_t>("transactions", paper ? 100000 : 20000);
   uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
   uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
-  int repeats = flags.GetInt<int>("repeats", 2);
+  int repeats = flags.Repeats();
 
   std::printf(
       "Ablation — page-size sensitivity (n_user = 60, Greedy, drifting\n"
@@ -88,7 +88,8 @@ int Run(int argc, char** argv) {
          TablePrinter::FormatCount(build->stats.ossub_evaluations),
          TablePrinter::FormatDouble(c2_fraction, 3),
          TablePrinter::FormatDouble(baseline.seconds / with.seconds, 2)});
-    std::string point = "p" + std::to_string(page);
+    std::string point(1, 'p');
+    point += std::to_string(page);
     reporter.AddValue("seg_seconds." + point, build->stats.seconds);
     reporter.AddResult("ossub_evals." + point,
                        static_cast<double>(build->stats.ossub_evaluations));

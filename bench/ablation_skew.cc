@@ -32,7 +32,7 @@ int Run(int argc, char** argv) {
       flags.GetInt<uint64_t>("transactions", paper ? 100000 : 20000);
   uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 300);
   uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
-  int repeats = flags.GetInt<int>("repeats", 2);
+  int repeats = flags.Repeats();
 
   reporter.SetWorkload("transactions", num_transactions);
   reporter.SetWorkload("items", static_cast<uint64_t>(num_items));

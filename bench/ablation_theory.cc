@@ -92,7 +92,8 @@ int Run(int argc, char** argv) {
       if (!all_exact) ++exact_failures;
     }
 
-    std::string point = "m" + std::to_string(m);
+    std::string point(1, 'm');
+    point += std::to_string(m);
     reporter.AddResult("n_min." + point, static_cast<double>(n_min));
     reporter.AddResult("page_n_min." + point,
                        static_cast<double>(page_n_min));

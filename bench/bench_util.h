@@ -75,10 +75,10 @@ class Flags {
   // --transactions=-5 or --repeats=abc exits 2 naming the flag instead of
   // running at 2, 2^64 - 5 or 0.
   template <typename T>
-  T GetInt(const std::string& key, T fallback) const {
+  T GetInt(const std::string& key, T fallback, T min = 0) const {
     for (const auto& [k, v] : values_) {
       if (k != key) continue;
-      StatusOr<T> value = ParseIntFlag<T>(key, v);
+      StatusOr<T> value = ParseIntFlag<T>(key, v, min);
       if (!value.ok()) {
         std::fprintf(stderr, "error: %s\n", value.status().ToString().c_str());
         std::exit(2);
@@ -87,6 +87,10 @@ class Flags {
     }
     return fallback;
   }
+
+  // Best-of count for timed mining runs. --repeats=0 would time nothing and
+  // report the 1e100 s sentinel with an empty result, so it exits 2 too.
+  int Repeats() const { return GetInt<int>("repeats", 2, 1); }
 
   bool PaperScale() const { return GetString("scale", "laptop") == "paper"; }
 

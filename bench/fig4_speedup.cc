@@ -30,7 +30,7 @@ int Run(int argc, char** argv) {
       flags.GetInt<uint64_t>("transactions", paper ? 100000 : 20000);
   uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
   uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
-  int repeats = flags.GetInt<int>("repeats", 2);
+  int repeats = flags.Repeats();
   // Figure 4 in the paper runs the full (unrestricted) ossub; pass
   // --bubble=25 to restrict it to the hottest quarter of the domain.
   double bubble_percent = flags.GetInt<uint32_t>("bubble", 0);

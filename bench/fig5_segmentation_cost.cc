@@ -108,7 +108,7 @@ int Run(int argc, char** argv) {
   bool paper = flags.PaperScale();
   uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
   uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
-  int repeats = flags.GetInt<int>("repeats", 2);
+  int repeats = flags.Repeats();
   bool drifting = flags.GetString("data", "drifting") != "regular";
 
   // (a) pure strategies: paper used P = 500 pages (50k transactions).

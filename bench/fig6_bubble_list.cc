@@ -32,7 +32,7 @@ int Run(int argc, char** argv) {
   uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
   uint64_t pages = flags.GetInt<uint64_t>("pages", paper ? 50000 : 300);
   uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
-  int repeats = flags.GetInt<int>("repeats", 2);
+  int repeats = flags.Repeats();
 
   std::printf(
       "Figure 6 — the bubble-list optimization (hybrids, n_user = 40,\n"

@@ -136,7 +136,7 @@ int Run(int argc, char** argv) {
       flags.GetInt<uint64_t>("transactions", paper ? 100000 : 30000);
   uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
   uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
-  int repeats = flags.GetInt<int>("repeats", 2);
+  int repeats = flags.Repeats();
   // Low support is where bound pruning matters: the candidate space is
   // widest and every eliminated or derived candidate saves a counting pass.
   uint64_t support_permille = flags.GetInt<uint64_t>("support-permille", 8);

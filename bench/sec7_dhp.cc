@@ -52,7 +52,7 @@ int Run(int argc, char** argv) {
       flags.GetInt<uint64_t>("transactions", paper ? 100000 : 30000);
   uint32_t num_items = flags.GetInt<uint32_t>("items", paper ? 1000 : 400);
   uint64_t seed = flags.GetInt<uint64_t>("seed", 1);
-  int repeats = flags.GetInt<int>("repeats", 2);
+  int repeats = flags.Repeats();
   // The paper pairs 32768 buckets with a ~125k-pair candidate space; the
   // laptop default keeps the bucket-to-candidate ratio comparable so that
   // hash collisions — the artifact the OSSM removes on top of DHP — occur

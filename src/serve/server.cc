@@ -1,7 +1,7 @@
 // Linux epoll implementation of the TCP front-end. Everything here runs on
 // the single event-loop thread, scan-free query answers included, except
 // the batcher completion callbacks, which only fill their own Slot
-// (release-store) and kick the eventfd.
+// (release-store) and kick the loop's Wake.
 
 #include "serve/server.h"
 
@@ -39,6 +39,44 @@ void BestEffortWrite(int fd, std::string_view text) {
 
 }  // namespace
 
+// One loop wake-up per burst of completions: the first Kick since the loop
+// last collected sets `pending_` and writes the eventfd; later kicks see
+// the flag and return, so a 64-query wave costs one write(2), not 64.
+// Nothing is missed: callers complete their slot before they kick, and
+// Collect clears the flag, ahead of the flush pass, with an exchange that
+// reads every earlier kick's exchange, so the pass sees each slot whose
+// kick found the flag up; a kick after the clear writes again.
+class SupportServer::Wake {
+ public:
+  Wake() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {}
+  ~Wake() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  Wake(const Wake&) = delete;
+  Wake& operator=(const Wake&) = delete;
+
+  int fd() const { return fd_; }
+
+  void Kick() {
+    if (pending_.exchange(true, std::memory_order_acq_rel)) return;
+    uint64_t one = 1;
+    ssize_t ignored = ::write(fd_, &one, sizeof(one));
+    (void)ignored;
+  }
+
+  // Loop thread: drains the eventfd, then re-arms Kick.
+  void Collect() {
+    uint64_t count = 0;
+    ssize_t ignored = ::read(fd_, &count, sizeof(count));
+    (void)ignored;
+    pending_.exchange(false, std::memory_order_acq_rel);
+  }
+
+ private:
+  const int fd_;
+  std::atomic<bool> pending_{false};
+};
+
 SupportServer::SupportServer(QueryEngine* engine, Batcher* batcher,
                              const ServerConfig& config)
     : engine_(engine), batcher_(batcher), config_(config) {
@@ -46,10 +84,7 @@ SupportServer::SupportServer(QueryEngine* engine, Batcher* batcher,
   OSSM_CHECK(batcher_ != nullptr);
 }
 
-SupportServer::~SupportServer() {
-  Shutdown();
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-}
+SupportServer::~SupportServer() { Shutdown(); }
 
 Status SupportServer::Start() {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
@@ -86,16 +121,16 @@ Status SupportServer::Start() {
   }
 
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) {
+  wake_ = std::make_shared<Wake>();
+  if (epoll_fd_ < 0 || wake_->fd() < 0) {
     return Status::IOError("epoll/eventfd setup failed");
   }
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = listen_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
+  ev.data.fd = wake_->fd();
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_->fd(), &ev);
 
   loop_ = std::thread([this] { EventLoop(); });
   return Status::OK();
@@ -104,11 +139,7 @@ Status SupportServer::Start() {
 void SupportServer::Shutdown() {
   std::call_once(shutdown_once_, [this] {
     shutting_down_.store(true, std::memory_order_release);
-    if (wake_fd_ >= 0) {
-      uint64_t kick = 1;
-      BestEffortWrite(wake_fd_, std::string_view(
-          reinterpret_cast<const char*>(&kick), sizeof(kick)));
-    }
+    if (wake_ != nullptr) wake_->Kick();
     if (loop_.joinable()) loop_.join();
     // The loop is gone, so no new profile can start; wait out an in-flight
     // window (bounded by max_profile_ms).
@@ -160,10 +191,8 @@ void SupportServer::EventLoop() {
     std::vector<int> dead;
     for (int i = 0; i < n; ++i) {
       int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
-        uint64_t drained = 0;
-        ssize_t ignored = ::read(wake_fd_, &drained, sizeof(drained));
-        (void)ignored;
+      if (fd == wake_->fd()) {
+        wake_->Collect();
         continue;
       }
       if (fd == listen_fd_) {
@@ -184,7 +213,7 @@ void SupportServer::EventLoop() {
     }
     for (int fd : dead) CloseConnection(fd);
     dead.clear();
-    // Completion callbacks only kick the eventfd; responses are collected
+    // Completion callbacks only kick the Wake; responses are collected
     // here so every wake flushes whatever became ready, on any connection.
     for (auto& [fd, conn] : connections_) {
       if (!FlushConnection(*conn)) dead.push_back(fd);
@@ -331,7 +360,6 @@ void SupportServer::DispatchLines(Connection& conn) {
           slot->done.store(true, std::memory_order_release);
           break;
         }
-        int wake_fd = wake_fd_;
         // End-to-end request flow: the arrow spans front-end admission to
         // the completion callback, bracketing the batcher's own
         // submit->dispatch flow inside it.
@@ -342,14 +370,13 @@ void SupportServer::DispatchLines(Connection& conn) {
         }
         Status admitted = batcher_->SubmitAsync(
             std::move(request->itemset),
-            [slot, wake_fd, flow_id](const StatusOr<QueryResult>& result) {
+            [slot, wake = wake_, flow_id](
+                const StatusOr<QueryResult>& result) {
               slot->text = result.ok() ? FormatResult(*result)
                                        : FormatError(result.status());
               slot->done.store(true, std::memory_order_release);
               if (flow_id != 0) obs::EmitFlowEnd("serve.request", flow_id);
-              uint64_t kick = 1;
-              ssize_t ignored = ::write(wake_fd, &kick, sizeof(kick));
-              (void)ignored;
+              wake->Kick();
             });
         if (!admitted.ok()) {
           // Backpressure (kResourceExhausted) or shutdown: answer inline,
@@ -406,9 +433,8 @@ void SupportServer::StartProfile(std::shared_ptr<Slot> slot, uint32_t ms) {
   // The previous worker (if any) already cleared profiling_, so it has
   // finished its slot; reclaim it before reusing the member.
   if (profile_thread_.joinable()) profile_thread_.join();
-  int wake_fd = wake_fd_;
   profile_thread_ =
-      std::thread([this, slot = std::move(slot), ms, wake_fd] {
+      std::thread([this, slot = std::move(slot), ms, wake = wake_] {
         std::string folded;
         bool started = obs::perf::SamplingProfiler::Global().Start();
         if (started) {
@@ -434,9 +460,7 @@ void SupportServer::StartProfile(std::shared_ptr<Slot> slot, uint32_t ms) {
         }
         slot->done.store(true, std::memory_order_release);
         profiling_.store(false, std::memory_order_release);
-        uint64_t kick = 1;
-        BestEffortWrite(wake_fd, std::string_view(
-            reinterpret_cast<const char*>(&kick), sizeof(kick)));
+        wake->Kick();
       });
 }
 

@@ -117,9 +117,14 @@ class SupportServer {
   std::string SlowlogText(uint32_t count) const;
   // Runs the process-global sampling profiler for `ms` on a detached-from-
   // the-loop worker thread, then completes `slot` with "PROFILE <n>" + n
-  // folded-stack lines and kicks the eventfd. The event loop keeps serving
+  // folded-stack lines and kicks the loop. The event loop keeps serving
   // other connections during the window; only this request's slot waits.
   void StartProfile(std::shared_ptr<Slot> slot, uint32_t ms);
+
+  // The loop's eventfd and its kick-pending flag (server.cc). Completion
+  // callbacks share it, so a batcher that outlives the server still writes
+  // into this eventfd, never into a file that reused its number.
+  class Wake;
 
   QueryEngine* engine_;
   Batcher* batcher_;
@@ -127,7 +132,7 @@ class SupportServer {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: completion callbacks + shutdown kick
+  std::shared_ptr<Wake> wake_;  // completion callbacks + shutdown kick
   uint16_t port_ = 0;
   std::thread loop_;
   std::atomic<bool> shutting_down_{false};

@@ -2,11 +2,9 @@
 #define OSSM_SERVE_SUPPORT_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "data/item.h"
@@ -25,10 +23,17 @@ namespace serve {
 // do not serialize on one lock. Capacity is split evenly across shards and
 // eviction is per shard; the worst-case resident count is therefore
 // `capacity`, reached only when the hash spreads perfectly.
+//
+// Each shard is flat: one entry array, linked into its LRU list by 32-bit
+// indices, and an open-addressed index that stays at most half full. Both
+// grow with residency, never to the budget up front. A full shard evicts
+// by reusing its least-recently-used entry, item vector included, so a
+// warm cache answers and inserts without allocating.
 class SupportCache {
  public:
   // `capacity` is the total entry budget (>= 1); `num_shards` is rounded up
-  // to a power of two and clamped to [1, capacity].
+  // to a power of two and clamped to [1, capacity]. One shard holds at most
+  // 2^31 entries, whatever its share of `capacity`.
   SupportCache(uint64_t capacity, uint32_t num_shards);
 
   SupportCache(const SupportCache&) = delete;
@@ -55,20 +60,34 @@ class SupportCache {
   uint64_t misses() const;
 
  private:
+  static constexpr uint32_t kNone = ~0u;
+
   struct Entry {
     std::vector<ItemId> items;
     uint64_t support = 0;
+    uint32_t tag = 0;        // high half of the itemset's hash
+    uint32_t newer = kNone;  // LRU neighbours, as indices into `entries`
+    uint32_t older = kNone;
   };
   struct Shard {
     std::mutex mu;
-    // Most-recent at the front; eviction pops from the back.
-    std::list<Entry> lru;
-    // Heterogeneous key: hash of the itemset -> iterators; collisions are
-    // resolved by comparing the stored items.
-    std::unordered_multimap<uint64_t, std::list<Entry>::iterator> index;
+    std::vector<Entry> entries;
+    uint32_t newest = kNone;  // LRU head
+    uint32_t oldest = kNone;  // LRU tail: the next victim
+    // Linear probing over words `tag << 32 | (entry + 1)`; 0 is an empty
+    // slot. A power of two in size, at least twice the resident count.
+    std::vector<uint64_t> index;
     uint64_t capacity = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
+
+    // The entry holding `itemset`, or kNone.
+    uint32_t Find(std::span<const ItemId> itemset, uint32_t tag) const;
+    void MoveToFront(uint32_t entry);
+    void Unlink(uint32_t entry);
+    void PushFront(uint32_t entry);
+    void IndexErase(uint32_t entry);
+    void GrowIndex();
   };
 
   Shard& ShardFor(uint64_t hash) {

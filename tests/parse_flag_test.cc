@@ -38,5 +38,14 @@ TEST(ParseIntFlagTest, ErrorNamesTheFlagAndTheRange) {
   EXPECT_NE(status.ToString().find("[0, 4294967295]"), std::string::npos);
 }
 
+TEST(ParseIntFlagTest, RejectsValuesBelowTheMinimum) {
+  EXPECT_EQ(*ParseIntFlag<int>("repeats", "1", 1), 1);
+  Status status = ParseIntFlag<int>("repeats", "0", 1).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("--repeats=0 is not an integer in [1, "),
+            std::string::npos)
+      << status.ToString();
+}
+
 }  // namespace
 }  // namespace ossm

@@ -5,13 +5,18 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -708,6 +713,192 @@ TEST(ServeLoopbackTest, OversizedRequestLineClosesConnection) {
   ::close(fd);
   server.Shutdown();
   batcher.Shutdown();
+}
+
+// Itemsets of two or three items whose Eq. (1) bound clears `minsup`, so
+// each one needs an exact count; distinct, so none is a cache hit.
+std::vector<Itemset> ScreenedItemsets(const Fixture& fx, uint64_t minsup,
+                                      size_t count) {
+  std::vector<Itemset> itemsets;
+  const ItemId n = static_cast<ItemId>(fx.db.num_items());
+  for (ItemId a = 0; a < n && itemsets.size() < count; ++a) {
+    for (ItemId b = a + 1; b < n && itemsets.size() < count; ++b) {
+      if (fx.map.UpperBound(Itemset{a, b}) >= minsup) {
+        itemsets.push_back({a, b});
+      }
+    }
+  }
+  for (ItemId a = 0; a < n && itemsets.size() < count; ++a) {
+    for (ItemId b = a + 1; b < n && itemsets.size() < count; ++b) {
+      for (ItemId c = b + 1; c < n && itemsets.size() < count; ++c) {
+        if (fx.map.UpperBound(Itemset{a, b, c}) >= minsup) {
+          itemsets.push_back({a, b, c});
+        }
+      }
+    }
+  }
+  return itemsets;
+}
+
+std::string QueryLine(const Itemset& itemset) {
+  std::string line = "Q";
+  for (ItemId item : itemset) {
+    line += ' ';
+    line += std::to_string(item);
+  }
+  return line + "\n";
+}
+
+// Completions wake the loop once per burst, not once per query. Several
+// connections pipeline exact queries in small writes against a small
+// max_batch, so waves mix connections and most completions find a kick
+// already pending; a completion whose reply the loop never collected would
+// stall its connection past the deadline.
+TEST(ServeLoopbackTest, CoalescedWakeUpsDeliverEveryReplyInOrder) {
+  Fixture fx = MakeFixture();
+  constexpr uint64_t kMinsup = 1;
+  constexpr size_t kConnections = 4;
+  constexpr size_t kPerConnection = 300;
+  std::vector<Itemset> itemsets =
+      ScreenedItemsets(fx, kMinsup, kConnections * kPerConnection);
+  ASSERT_EQ(itemsets.size(), kConnections * kPerConnection);
+  std::vector<uint64_t> oracle;
+  for (const Itemset& itemset : itemsets) {
+    oracle.push_back(OracleSupport(fx.db, itemset));
+  }
+
+  QueryEngineConfig engine_config;
+  engine_config.min_support = kMinsup;
+  engine_config.bitmap_mode = BitmapMode::kOn;
+  QueryEngine engine(&fx.db, &fx.map, engine_config);
+  BatcherConfig batcher_config;
+  batcher_config.max_batch = 4;
+  Batcher batcher(&engine, batcher_config);
+  ServerConfig server_config;
+  server_config.port = 0;
+  SupportServer server(&engine, &batcher, server_config);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::vector<std::string>> replies(kConnections);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      int fd = ConnectLoopback(server.port());
+      if (fd < 0) return;
+      // The deadline: a read that waits this long gives up, and the
+      // missing replies fail the checks below instead of hanging.
+      timeval timeout{};
+      timeout.tv_sec = 20;
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+      std::string chunk;
+      for (size_t q = 0; q < kPerConnection; ++q) {
+        chunk += QueryLine(itemsets[c * kPerConnection + q]);
+        if (q % 8 == 7 || q + 1 == kPerConnection) {
+          if (!SendAll(fd, chunk)) break;
+          chunk.clear();
+        }
+      }
+      replies[c] = ReadLines(fd, kPerConnection);
+      ::close(fd);
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  for (size_t c = 0; c < kConnections; ++c) {
+    SCOPED_TRACE("connection " + std::to_string(c));
+    ASSERT_EQ(replies[c].size(), kPerConnection);
+    for (size_t q = 0; q < kPerConnection; ++q) {
+      const size_t i = c * kPerConnection + q;
+      EXPECT_EQ(replies[c][q], "OK " + std::to_string(oracle[i]) + " exact")
+          << QueryLine(itemsets[i]);
+    }
+  }
+  EXPECT_EQ(engine.Stats().exact_counts, kConnections * kPerConnection);
+  server.Shutdown();
+  batcher.Shutdown();
+}
+
+// A batcher can outlive its server (perfbench tears its stack down server
+// first), and a completion that lands after the server is gone must not
+// write into a descriptor the server closed and the process reused. The
+// server is destroyed with no drain window while its queries wait behind a
+// gated wave; fresh files then take the freed descriptor numbers, and the
+// batcher drains only after that. Every file must still be empty.
+TEST(ServeLoopbackTest, LateCompletionsNeverWriteIntoReusedDescriptors) {
+  Fixture fx = MakeFixture();
+  constexpr uint64_t kMinsup = 1;
+  constexpr size_t kQueued = 64;
+  std::vector<Itemset> itemsets = ScreenedItemsets(fx, kMinsup, kQueued + 1);
+  ASSERT_EQ(itemsets.size(), kQueued + 1);
+
+  QueryEngineConfig engine_config;
+  engine_config.min_support = kMinsup;
+  engine_config.bitmap_mode = BitmapMode::kOff;  // tier 3: the CSR sweep
+  QueryEngine engine(&fx.db, &fx.map, engine_config);
+  BatcherConfig batcher_config;
+  batcher_config.max_batch = 4;
+  Batcher batcher(&engine, batcher_config);
+  // Holds the dispatch thread inside the first wave's callback; opened on
+  // every exit path before the batcher joins that thread.
+  struct Gate {
+    std::promise<void> open;
+    std::shared_future<void> opened = open.get_future().share();
+    bool is_open = false;
+    void Open() {
+      if (!is_open) open.set_value();
+      is_open = true;
+    }
+    ~Gate() { Open(); }
+  } gate;
+  std::atomic<bool> gated{false};
+  ASSERT_TRUE(batcher
+                  .SubmitAsync(itemsets[0],
+                               [&gated, opened = gate.opened](
+                                   const StatusOr<QueryResult>&) {
+                                 gated.store(true);
+                                 opened.wait();
+                               })
+                  .ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!gated.load()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::yield();
+  }
+
+  ServerConfig server_config;
+  server_config.port = 0;
+  server_config.drain_timeout_ms = 0;
+  auto server = std::make_unique<SupportServer>(&engine, &batcher,
+                                                server_config);
+  ASSERT_TRUE(server->Start().ok());
+  int fd = ConnectLoopback(server->port());
+  ASSERT_GE(fd, 0);
+  std::string payload;
+  for (size_t i = 1; i <= kQueued; ++i) payload += QueryLine(itemsets[i]);
+  ASSERT_TRUE(SendAll(fd, payload));
+  while (batcher.queue_depth() < kQueued) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::yield();
+  }
+  server.reset();
+
+  std::vector<std::FILE*> files;
+  for (int i = 0; i < 64; ++i) {
+    std::FILE* file = std::tmpfile();
+    ASSERT_NE(file, nullptr);
+    files.push_back(file);
+  }
+  gate.Open();
+  batcher.Shutdown();
+  EXPECT_EQ(batcher.queue_depth(), 0u);
+  for (std::FILE* file : files) {
+    struct stat info {};
+    ASSERT_EQ(::fstat(::fileno(file), &info), 0);
+    EXPECT_EQ(info.st_size, 0) << "descriptor " << ::fileno(file);
+    std::fclose(file);
+  }
+  ::close(fd);
 }
 
 }  // namespace
